@@ -8,10 +8,11 @@ report), ``histogram`` (attention-score histograms).
 Exit codes: 0 success, 2 usage error, 3 verification failure, 4 I/O error.
 
 Flags may also come from a flat ``key=value`` config file (``--config``);
-explicit command-line flags override file values.  ``--frames``, ``--ratio``,
-``--retain`` and ``--chunk`` accept comma-separated lists; ``bench`` runs the
-cartesian product.  Every sweep CSV row carries the complete configuration
-needed to reproduce it, plus a checksum of the output tokens.
+explicit command-line flags override file values and an unknown key is a
+usage error.  For ``bench``, ``--frames``, ``--ratio``, ``--retain`` and
+``--chunk`` accept comma-separated lists and it runs the cartesian product.
+Every sweep CSV row carries the complete configuration needed to reproduce
+it, plus a checksum of the output tokens.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,49 +34,66 @@ from .aggregator import AggregatorConfig, forward_offline, init_weights
 from .attention import attention_score_histogram, init_block_weights
 from .compression import COMPRESSION_KINDS, CompressionMethod, KEYFRAME_METHODS, KeyframeSelector
 from .streaming import StreamConfig, cache_report, run_stream
-from .tokens import FrameLayout, generate_synthetic
+from .tokens import FrameLayout, TokenTensor, generate_synthetic
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
 
-BENCH_COLUMNS = ("mode", "S", "r", "p", "c", "method", "wall_ms_median",
-                 "wall_ms_p90", "tokens", "cache_tokens",
-                 "selector", "interval", "aux", "layers", "channels", "heads",
-                 "grid", "camera", "register", "seed", "precision", "repeats")
-SWEEP_COLUMNS = ("run_id", "repeat", "mode", "S", "r", "p", "c", "method",
-                 "selector", "interval", "aux", "layers", "channels", "heads",
-                 "grid", "camera", "register", "seed", "precision",
-                 "wall_ms", "tokens", "cache_tokens", "checksum")
+# CSV names of the renamed RunSpec fields: the paper's symbols for the four
+# swept axes, which are also the fields ``bench`` takes as comma lists.
+COLUMN_NAMES = {"frames": "S", "ratio": "r", "retain": "p", "chunk": "c"}
 HISTOGRAM_COLUMNS = ("bin_lo", "bin_hi", "count")
+MODES = ("dense", "descriptor", "stream")
+_DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One reproducible benchmark run (modes share this configuration)."""
+    """One reproducible benchmark run (modes share this configuration).
+
+    Its fields are the single list of run settings: the CLI flags, the
+    ``--config`` keys, the CSV configuration columns and the replay parse
+    are all derived from them.  ``repeats`` only sets how often ``bench``
+    times a run, so sweep rows do not record it.
+    """
 
     frames: int = 8
     ratio: int = 4
     retain: int = 5
     chunk: int = 10
-    method: str = "bilinear"
-    selector: str = "cluster"
+    method: str = field(default="bilinear", metadata={"choices": COMPRESSION_KINDS})
+    selector: str = field(default="cluster", metadata={"choices": KEYFRAME_METHODS})
     interval: int = 200
     aux: bool = True
-    seed: int = 0
     layers: int = 2
     channels: int = 32
     heads: int = 4
     grid: tuple[int, int] = (8, 8)
     camera: int = 1
     register: int = 4
-    precision: str = "f32"
+    seed: int = 0
+    precision: str = field(default="f32", metadata={"choices": tuple(_DTYPES)})
     repeats: int = 3
+
+    def __post_init__(self):
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            if choices is not None and getattr(self, f.name) not in choices:
+                raise ValueError(f"{f.name} must be one of {choices}, "
+                                 f"got {getattr(self, f.name)!r}")
+
+    @property
+    def dtype(self) -> type:
+        return _DTYPES[self.precision]
 
     def layout(self) -> FrameLayout:
         return FrameLayout(h=self.grid[0], w=self.grid[1], n_camera=self.camera,
                            n_register=self.register, channels=self.channels)
+
+    def tokens(self) -> TokenTensor:
+        return generate_synthetic(self.frames, self.layout(), self.seed, dtype=self.dtype)
 
     def aggregator_config(self, mode: str) -> AggregatorConfig:
         return AggregatorConfig(
@@ -84,132 +102,142 @@ class RunSpec:
             method=CompressionMethod(self.method, self.ratio),
             include_aux=self.aux,
             selector=KeyframeSelector(self.selector, self.interval, self.seed),
-            seed=self.seed,
-            dtype=np.float32 if self.precision == "f32" else np.float64)
+            seed=self.seed, dtype=self.dtype)
 
     def stream_config(self) -> StreamConfig:
         return StreamConfig(base=self.aggregator_config("descriptor"),
                             chunk_size=self.chunk, retain_rate=self.retain)
 
+    def row(self) -> dict:
+        """The configuration columns of a CSV row (``repeats`` excluded)."""
+        return {col: _cell(getattr(self, f.name))
+                for f, col in zip(_RECORDED, _CONFIG_COLUMNS)}
 
-@dataclass(frozen=True)
-class BenchSpec:
-    runs: list[RunSpec] = field(default_factory=list)
-    out_dir: Path = Path(".")
-    modes: tuple[str, ...] = ("dense", "descriptor", "stream")
-    parallel: bool = False
+    @classmethod
+    def from_row(cls, row: dict) -> "RunSpec":
+        """Parse the configuration columns of a CSV row; cells may be text."""
+        return cls(**{f.name: _value_type(f.default)(str(row[col]))
+                      for f, col in zip(_RECORDED, _CONFIG_COLUMNS)})
+
+
+_RECORDED = tuple(f for f in fields(RunSpec) if f.name != "repeats")
+_CONFIG_COLUMNS = tuple(COLUMN_NAMES.get(f.name, f.name) for f in _RECORDED)
+# The v1 layouts, kept byte for byte: bench.csv puts its measurements right
+# after the method, so its first seven columns also make the markdown summary.
+SWEEP_COLUMNS = ("run_id", "repeat", "mode", *_CONFIG_COLUMNS,
+                 "wall_ms", "tokens", "cache_tokens", "checksum")
+BENCH_COLUMNS = ("mode", *_CONFIG_COLUMNS[:5], "wall_ms_median", "wall_ms_p90",
+                 "tokens", "cache_tokens", *_CONFIG_COLUMNS[5:], "repeats")
+
+
+def _cell(value):
+    return f"{value[0]}x{value[1]}" if isinstance(value, tuple) else value
+
+
+def _parse_grid(text: str) -> tuple[int, int]:
+    try:
+        h, w = str(text).lower().split("x")
+        return int(h), int(w)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"grid must look like 8x8, got {text!r}") from exc
+
+
+def _parse_bool(text: str) -> bool:
+    value = {"true": True, "1": True, "yes": True,
+             "false": False, "0": False, "no": False}.get(str(text).lower())
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return value
+
+
+def _value_type(default):
+    """Text-to-value conversion of a RunSpec field, shared by flags and replay."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return _parse_grid
+    return type(default)
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in str(text).split(",") if x != ""]
 
 
 def _checksum(values: np.ndarray) -> str:
     return hashlib.sha256(values.tobytes()).hexdigest()[:16]
 
 
-def _execute(run: RunSpec, mode: str):
-    """One forward in the given mode; returns (output values, cache tokens)."""
-    tokens = generate_synthetic(run.frames, run.layout(), run.seed,
-                                dtype=np.float32 if run.precision == "f32" else np.float64)
+def _forward(run: RunSpec, mode: str):
+    """Build the inputs and weights of one (configuration, mode) and return
+    a call that runs the forward alone, giving (output tokens, stream cache or
+    None).  The weights are those ``forward_offline`` and ``run_stream``
+    would build themselves, so outputs are unchanged."""
+    tokens = run.tokens()
     if mode == "stream":
         cfg = run.stream_config()
-        out, cache = run_stream(tokens, cfg, return_cache=True)
-        return out.values, cache_report(cache).total_tokens
+        weights = init_weights(cfg.base)
+        return lambda: run_stream(tokens, cfg, weights, return_cache=True)
     cfg = run.aggregator_config(mode)
-    return forward_offline(tokens, cfg).values, 0
+    weights = init_weights(cfg)
+    return lambda: (forward_offline(tokens, cfg, weights), None)
 
 
-def _timed_rows(run_id: int, run: RunSpec, modes: tuple[str, ...]):
+def _timed_rows(run_id: int, run: RunSpec):
     """Per-(mode, repeat) sweep rows plus per-mode aggregated bench rows."""
     sweep_rows, bench_rows = [], []
-    for mode in modes:
-        _execute(run, mode)  # warmup
+    config = run.row()
+    k_tokens = run.frames * run.layout().tokens_per_frame
+    for mode in MODES:
+        forward = _forward(run, mode)
+        forward()  # warmup
         times = []
         for rep in range(max(1, run.repeats)):
             t0 = time.perf_counter()
-            values, cache_tokens = _execute(run, mode)
+            out, cache = forward()
             wall_ms = (time.perf_counter() - t0) * 1e3
             times.append(wall_ms)
+            cache_tokens = 0 if cache is None else cache_report(cache).total_tokens
             sweep_rows.append({
-                "run_id": run_id, "repeat": rep, "mode": mode,
-                "S": run.frames, "r": run.ratio, "p": run.retain, "c": run.chunk,
-                "method": run.method, "selector": run.selector,
-                "interval": run.interval, "aux": run.aux, "layers": run.layers,
-                "channels": run.channels, "heads": run.heads,
-                "grid": f"{run.grid[0]}x{run.grid[1]}", "camera": run.camera,
-                "register": run.register, "seed": run.seed,
-                "precision": run.precision, "wall_ms": f"{wall_ms:.3f}",
-                "tokens": run.frames * run.layout().tokens_per_frame,
-                "cache_tokens": cache_tokens, "checksum": _checksum(values)})
+                "run_id": run_id, "repeat": rep, "mode": mode, **config,
+                "wall_ms": f"{wall_ms:.3f}", "tokens": k_tokens,
+                "cache_tokens": cache_tokens, "checksum": _checksum(out.values)})
         bench_rows.append({
-            "mode": mode, "S": run.frames, "r": run.ratio, "p": run.retain,
-            "c": run.chunk, "method": run.method,
+            "mode": mode, **config,
             "wall_ms_median": f"{statistics.median(times):.3f}",
             "wall_ms_p90": f"{float(np.percentile(times, 90)):.3f}",
-            "tokens": run.frames * run.layout().tokens_per_frame,
-            "cache_tokens": cache_tokens,
-            "selector": run.selector, "interval": run.interval, "aux": run.aux,
-            "layers": run.layers, "channels": run.channels, "heads": run.heads,
-            "grid": f"{run.grid[0]}x{run.grid[1]}", "camera": run.camera,
-            "register": run.register, "seed": run.seed,
-            "precision": run.precision, "repeats": run.repeats})
+            "tokens": k_tokens, "cache_tokens": cache_tokens, "repeats": run.repeats})
     return sweep_rows, bench_rows
 
 
-def sweep(spec: BenchSpec) -> list[dict]:
+def sweep(runs: list[RunSpec], out_dir: Path) -> list[dict]:
     """Run every configuration, write sweep/bench CSVs, return sweep rows.
 
     Failed runs are recorded in ``failures.csv`` and do not abort the rest.
-    Runs execute sequentially unless ``spec.parallel``; repeats of one run
-    never run concurrently.
+    Runs execute one after another: concurrent runs would share the BLAS
+    threads, and their timings could not be compared.
     """
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    results: dict[int, tuple[list[dict], list[dict]]] = {}
-    failures: list[tuple[int, str]] = []
-
-    def job(i_run):
-        i, run = i_run
-        return i, _timed_rows(i, run, spec.modes)
-
-    items = list(enumerate(spec.runs))
-    if spec.parallel and len(items) > 1:
-        with ThreadPoolExecutor() as pool:
-            futures = {pool.submit(job, it): it[0] for it in items}
-            for fut, i in futures.items():
-                try:
-                    idx, rows = fut.result()
-                    results[idx] = rows
-                except Exception as exc:  # noqa: BLE001 - manifest, keep going
-                    failures.append((i, repr(exc)))
-    else:
-        for it in items:
-            try:
-                idx, rows = job(it)
-                results[idx] = rows
-            except Exception as exc:  # noqa: BLE001
-                failures.append((it[0], repr(exc)))
-
-    sweep_rows = [r for i in sorted(results) for r in results[i][0]]
-    bench_rows = [r for i in sorted(results) for r in results[i][1]]
-    _write_csv(spec.out_dir / "sweep.csv", SWEEP_COLUMNS, sweep_rows)
-    _write_csv(spec.out_dir / "bench.csv", BENCH_COLUMNS, bench_rows)
-    (spec.out_dir / "summary.md").write_text(_markdown_summary(bench_rows))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sweep_rows, bench_rows, failures = [], [], []
+    for run_id, run in enumerate(runs):
+        try:
+            run_sweep, run_bench = _timed_rows(run_id, run)
+        except Exception as exc:  # noqa: BLE001 - manifest, keep going
+            failures.append({"run_id": run_id, "error": repr(exc)})
+            continue
+        sweep_rows += run_sweep
+        bench_rows += run_bench
+    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, sweep_rows)
+    _write_csv(out_dir / "bench.csv", BENCH_COLUMNS, bench_rows)
+    (out_dir / "summary.md").write_text(_markdown_summary(bench_rows))
     if failures:
-        _write_csv(spec.out_dir / "failures.csv", ("run_id", "error"),
-                   [{"run_id": i, "error": e} for i, e in failures])
+        _write_csv(out_dir / "failures.csv", ("run_id", "error"), failures)
     return sweep_rows
 
 
 def run_from_row(row: dict) -> str:
     """Re-execute the configuration recorded in a sweep row; returns the checksum."""
-    h, w = str(row["grid"]).split("x")
-    run = RunSpec(frames=int(row["S"]), ratio=int(row["r"]), retain=int(row["p"]),
-                  chunk=int(row["c"]), method=str(row["method"]),
-                  selector=str(row["selector"]), interval=int(row["interval"]),
-                  aux=str(row["aux"]).lower() in ("true", "1"),
-                  seed=int(row["seed"]), layers=int(row["layers"]),
-                  channels=int(row["channels"]), heads=int(row["heads"]),
-                  grid=(int(h), int(w)), camera=int(row["camera"]),
-                  register=int(row["register"]), precision=str(row["precision"]))
-    values, _ = _execute(run, str(row["mode"]))
-    return _checksum(values)
+    out, _ = _forward(RunSpec.from_row(row), str(row["mode"]))()
+    return _checksum(out.values)
 
 
 def _write_csv(path: Path, columns, rows: list[dict]) -> None:
@@ -221,151 +249,89 @@ def _write_csv(path: Path, columns, rows: list[dict]) -> None:
 
 
 def _markdown_summary(bench_rows: list[dict]) -> str:
-    lines = ["| mode | S | r | p | c | method | wall_ms_median |", "|---|---|---|---|---|---|---|"]
-    for row in bench_rows:
-        lines.append(f"| {row['mode']} | {row['S']} | {row['r']} | {row['p']} "
-                     f"| {row['c']} | {row['method']} | {row['wall_ms_median']} |")
+    columns = BENCH_COLUMNS[:7]
+    lines = ["| " + " | ".join(columns) + " |", "|" + "---|" * len(columns)]
+    lines += ["| " + " | ".join(str(row[c]) for c in columns) + " |" for row in bench_rows]
     return "\n".join(lines) + "\n"
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",") if x != ""]
+def _add_run_flags(p: argparse.ArgumentParser, bench: bool) -> None:
+    """One flag per RunSpec field.  ``bench`` also takes ``--repeats`` and
+    comma lists on the swept axes, whose cartesian product it runs."""
+    for f in fields(RunSpec) if bench else _RECORDED:
+        flag = f"--{f.name}"
+        if bench and f.name in COLUMN_NAMES:
+            p.add_argument(flag, type=_int_list, default=[f.default])
+        elif isinstance(f.default, bool):
+            # a value is optional so that config lines like ``aux=false`` work
+            p.add_argument(flag, type=_parse_bool, nargs="?", const=True,
+                           default=f.default)
+            p.add_argument(f"--no-{f.name}", dest=f.name, action="store_false")
+        else:
+            p.add_argument(flag, type=_value_type(f.default), default=f.default,
+                           choices=f.metadata.get("choices"))
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    try:
-        h, w = str(text).lower().split("x")
-        return int(h), int(w)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"grid must look like 8x8, got {text!r}") from exc
-
-
-def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="descattn",
         description="Descriptor-compressed attention benchmarks and checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: list[argparse.ArgumentParser] = []
-
-    def add_common(p, lists=False):
-        p.add_argument("--frames", default="8" if lists else 8,
-                       type=str if lists else int)
-        p.add_argument("--ratio", default="4" if lists else 4,
-                       type=str if lists else int)
-        p.add_argument("--retain", default="5" if lists else 5,
-                       type=str if lists else int)
-        p.add_argument("--chunk", default="10" if lists else 10,
-                       type=str if lists else int)
-        p.add_argument("--method", default="bilinear", choices=COMPRESSION_KINDS)
-        p.add_argument("--selector", default="cluster", choices=KEYFRAME_METHODS)
-        p.add_argument("--interval", default=200, type=int)
-        p.add_argument("--aux", action=argparse.BooleanOptionalAction, default=True)
-        p.add_argument("--seed", default=0, type=int)
-        p.add_argument("--layers", default=2, type=int)
-        p.add_argument("--channels", default=32, type=int)
-        p.add_argument("--heads", default=4, type=int)
-        p.add_argument("--grid", default="8x8", type=_parse_grid)
-        p.add_argument("--camera", default=1, type=int)
-        p.add_argument("--register", default=4, type=int)
-        p.add_argument("--out", default=".", type=Path)
-        p.add_argument("--format", default="csv", choices=("csv", "md"))
-        p.add_argument("--precision", default="f32", choices=("f32", "f64"))
-        p.add_argument("--config", default=None, type=Path)
-
-    p_bench = sub.add_parser("bench", help="timed dense/descriptor/stream runs")
-    add_common(p_bench, lists=True)
-    p_bench.add_argument("--repeats", default=3, type=int)
-    p_bench.add_argument("--parallel", action="store_true",
-                         help="run distinct configurations concurrently")
-    subparsers.append(p_bench)
-
-    p_verify = sub.add_parser("verify", help="run the named invariant suite")
+    # exact flag names only, so a misspelt config key cannot pass as a prefix
+    p_verify = sub.add_parser("verify", allow_abbrev=False,
+                              help="run the named invariant suite")
     p_verify.add_argument("--seed", default=0, type=int)
     p_verify.add_argument("--config", default=None, type=Path)
-    subparsers.append(p_verify)
-
-    for name in ("flops", "stream", "histogram"):
-        p = sub.add_parser(name)
-        add_common(p)
-        subparsers.append(p)
-    return parser, subparsers
-
-
-def _config_path(argv: list[str]) -> Path | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return Path(argv[i + 1])
-        if token.startswith("--config="):
-            return Path(token.split("=", 1)[1])
-    return None
+    for name, text in (("bench", "timed dense/descriptor/stream runs"),
+                       ("flops", "analytic FLOP report"),
+                       ("stream", "streaming cache occupancy report"),
+                       ("histogram", "attention-score histograms")):
+        p = sub.add_parser(name, allow_abbrev=False, help=text)
+        _add_run_flags(p, bench=name == "bench")
+        p.add_argument("--out", default=".", type=Path)
+        p.add_argument("--format", default="csv", choices=("csv", "md"))
+        p.add_argument("--config", default=None, type=Path)
+    return parser
 
 
-def _apply_config_file(subparsers: list[argparse.ArgumentParser],
-                       argv: list[str]) -> None:
-    """Load key=value defaults from --config; explicit flags still win.
-
-    Defaults land on every subparser (subparser defaults shadow the parent's),
-    and string values run through each flag's normal type conversion.
-    """
-    path = _config_path(argv)
-    if path is None:
-        return
-    defaults = {}
+def _config_tokens(path: Path) -> list[str]:
+    """Each ``key=value`` line of a config file as a ``--key=value`` flag."""
+    tokens = []
     for raw in path.read_text().splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key in ("aux", "parallel"):
-            defaults[key] = value.lower() in ("true", "1", "yes")
-        elif key == "grid":
-            defaults[key] = _parse_grid(value)
-        elif key == "out":
-            defaults[key] = Path(value)
-        else:
-            defaults[key] = value
-    for sp in subparsers:
-        known = {k: v for k, v in defaults.items()
-                 if any(a.dest == k for a in sp._actions)}
-        sp.set_defaults(**known)
+        if line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            tokens.append(f"--{key.strip()}={value.strip()}")
+    return tokens
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]):
+    """Parse argv with the ``--config`` lines placed ahead of the command-line
+    flags, so argparse converts them, explicit flags win (the last value of a
+    flag is kept) and an unknown key is a usage error."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    at = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:at], *_config_tokens(args.config), *argv[at:]])
 
 
 def _runs_from_args(args) -> list[RunSpec]:
-    runs = []
-    for frames in _int_list(args.frames):
-        for ratio in _int_list(args.ratio):
-            for retain in _int_list(args.retain):
-                for chunk in _int_list(args.chunk):
-                    runs.append(RunSpec(
-                        frames=frames, ratio=ratio, retain=retain, chunk=chunk,
-                        method=args.method, selector=args.selector,
-                        interval=args.interval, aux=args.aux, seed=args.seed,
-                        layers=args.layers, channels=args.channels,
-                        heads=args.heads, grid=args.grid, camera=args.camera,
-                        register=args.register, precision=args.precision,
-                        repeats=getattr(args, "repeats", 3)))
-    return runs
-
-
-def _single_run(args) -> RunSpec:
-    runs = _runs_from_args(args)
-    if len(runs) != 1:
-        raise ValueError("this subcommand takes single values, not sweeps")
-    return runs[0]
+    """The cartesian product of the list-valued flags, in field order."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunSpec) if hasattr(args, f.name)}
+    swept = {k: v for k, v in given.items() if isinstance(v, list)}
+    return [RunSpec(**{**given, **dict(zip(swept, values))})
+            for values in itertools.product(*swept.values())]
 
 
 def _cmd_bench(args) -> int:
-    spec = BenchSpec(runs=_runs_from_args(args), out_dir=args.out,
-                     parallel=getattr(args, "parallel", False))
-    rows = sweep(spec)
-    print(f"wrote {len(rows)} sweep rows to {spec.out_dir / 'sweep.csv'}")
+    rows = sweep(_runs_from_args(args), args.out)
+    print(f"wrote {len(rows)} sweep rows to {args.out / 'sweep.csv'}")
     return EXIT_OK
 
 
 def _cmd_flops(args) -> int:
-    run = _single_run(args)
+    [run] = _runs_from_args(args)
     dense_cfg = run.aggregator_config("dense")
     desc_cfg = run.aggregator_config("descriptor")
     dense = analysis.flops_attention(dense_cfg, run.frames)
@@ -395,10 +361,8 @@ def _cmd_flops(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    run = _single_run(args)
-    tokens = generate_synthetic(run.frames, run.layout(), run.seed,
-                                dtype=np.float32 if run.precision == "f32" else np.float64)
-    _, cache = run_stream(tokens, run.stream_config(), return_cache=True)
+    [run] = _runs_from_args(args)
+    _, cache = run_stream(run.tokens(), run.stream_config(), return_cache=True)
     report = cache_report(cache)
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "cache_report.csv").write_text(report.to_csv())
@@ -408,11 +372,9 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    run = _single_run(args)
-    tokens = generate_synthetic(run.frames, run.layout(), run.seed,
-                                dtype=np.float32 if run.precision == "f32" else np.float64)
-    w = init_block_weights(run.seed, run.channels, run.heads,
-                           np.float32 if run.precision == "f32" else np.float64)
+    [run] = _runs_from_args(args)
+    tokens = run.tokens()
+    w = init_block_weights(run.seed, run.channels, run.heads, run.dtype)
     args.out.mkdir(parents=True, exist_ok=True)
     for mode in ("frame", "global"):
         counts, edges = attention_score_histogram(tokens, w, mode)
@@ -425,10 +387,8 @@ def _cmd_histogram(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = _build_parser()
     try:
-        _apply_config_file(subparsers, argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(_build_parser(), argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except OSError as exc:

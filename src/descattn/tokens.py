@@ -170,7 +170,8 @@ def save_dump(t: TokenTensor) -> bytes:
 
 def load_dump(data: bytes) -> TokenTensor:
     """Parse bytes produced by save_dump; rejects bad magic, wrong version,
-    and payload-size mismatches with distinct error types."""
+    and payload-size mismatches with distinct error types, and zero-sized
+    headers with ``DumpError``."""
     if len(data) < _HEADER.size or data[:4] != DUMP_MAGIC:
         raise BadMagicError("not a token dump: bad magic tag")
     magic, version, s, h, w, n_cam, n_reg, c, elem_width = _HEADER.unpack_from(data)
@@ -178,6 +179,8 @@ def load_dump(data: bytes) -> TokenTensor:
         raise VersionMismatchError(f"dump version {version}, expected {DUMP_VERSION}")
     if elem_width not in (4, 8):
         raise DumpError(f"unsupported element width {elem_width}")
+    if min(s, h, w, c) < 1:
+        raise DumpError(f"degenerate header: S={s}, H={h}, W={w}, C={c} must all be >= 1")
     layout = FrameLayout(h=h, w=w, n_camera=n_cam, n_register=n_reg, channels=c)
     expected = s * layout.tokens_per_frame * c * elem_width
     payload = data[_HEADER.size:]

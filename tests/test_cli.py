@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from descattn.cli import (BENCH_COLUMNS, SWEEP_COLUMNS, BenchSpec, EXIT_IO,
-                          EXIT_OK, EXIT_USAGE, EXIT_VERIFY, RunSpec, main,
-                          run_from_row, sweep)
+from descattn import aggregator, cli, streaming
+from descattn.cli import (BENCH_COLUMNS, SWEEP_COLUMNS, EXIT_IO, EXIT_OK,
+                          EXIT_USAGE, EXIT_VERIFY, RunSpec, main, run_from_row,
+                          sweep)
 
 TINY = ["--frames", "2", "--grid", "4x4", "--channels", "16", "--heads", "2",
         "--ratio", "2", "--layers", "1", "--seed", "3"]
@@ -76,15 +77,42 @@ class TestBench:
         rows = read_csv(tmp_path / "sweep.csv")
         assert {r["r"] for r in rows} == {"1", "2", "4", "8"}
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        args = ["bench", "--frames", "2,3", "--grid", "4x4", "--channels", "16",
-                "--heads", "2", "--ratio", "2", "--layers", "1", "--repeats", "1"]
-        assert main([*args, "--out", str(serial)]) == EXIT_OK
-        assert main([*args, "--parallel", "--out", str(parallel)]) == EXIT_OK
-        a = [(r["run_id"], r["mode"], r["checksum"]) for r in read_csv(serial / "sweep.csv")]
-        b = [(r["run_id"], r["mode"], r["checksum"]) for r in read_csv(parallel / "sweep.csv")]
-        assert a == b
+    def test_v1_layout_and_replay(self):
+        # both headers and three sweep.csv rows of TINY as the v1 writer left them
+        assert ",".join(BENCH_COLUMNS) == (
+            "mode,S,r,p,c,method,wall_ms_median,wall_ms_p90,tokens,cache_tokens,"
+            "selector,interval,aux,layers,channels,heads,grid,camera,register,seed,"
+            "precision,repeats")
+        text = ("run_id,repeat,mode,S,r,p,c,method,selector,interval,aux,layers,"
+                "channels,heads,grid,camera,register,seed,precision,wall_ms,tokens,"
+                "cache_tokens,checksum\n"
+                "0,0,dense,2,2,5,10,bilinear,cluster,200,True,1,16,2,4x4,1,4,3,f32,"
+                "1.631,42,0,99abc73ad103f359\n"
+                "0,0,descriptor,2,2,5,10,bilinear,cluster,200,True,1,16,2,4x4,1,4,3,"
+                "f32,2.099,42,0,4f53602b0de3d15d\n"
+                "0,0,stream,2,2,5,10,bilinear,cluster,200,True,1,16,2,4x4,1,4,3,f32,"
+                "2.178,42,25,4f53602b0de3d15d\n")
+        assert text.startswith(",".join(SWEEP_COLUMNS) + "\n")
+        for row in csv.DictReader(text.splitlines()):
+            assert run_from_row(row) == row["checksum"]
+
+    def test_only_the_forward_is_timed(self, tmp_path, monkeypatch):
+        calls = {"tokens": 0, "weights": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "generate_synthetic",
+                            counting("tokens", cli.generate_synthetic))
+        weights = counting("weights", aggregator.init_weights)
+        for module in (cli, aggregator, streaming):
+            monkeypatch.setattr(module, "init_weights", weights)
+        assert main(["bench", *TINY, "--repeats", "3", "--out", str(tmp_path)]) == EXIT_OK
+        # one per mode, built before the warm-up, never inside a timed call
+        assert calls == {"tokens": 3, "weights": 3}
 
     def test_markdown_summary(self, tmp_path):
         main(["bench", *TINY, "--repeats", "1", "--format", "md",
@@ -92,18 +120,16 @@ class TestBench:
         assert (tmp_path / "summary.md").read_text().startswith("| mode |")
 
     def test_empty_spec_writes_header_only(self, tmp_path):
-        sweep(BenchSpec(runs=[], out_dir=tmp_path))
+        sweep([], tmp_path)
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0] == ",".join(SWEEP_COLUMNS)
 
     def test_failure_manifest_preserves_partial_results(self, tmp_path):
-        spec = BenchSpec(runs=[RunSpec(frames=2, grid=(4, 4), channels=16, heads=2,
-                                       ratio=2, layers=1, repeats=1),
-                               RunSpec(frames=2, grid=(4, 4), channels=16, heads=2,
-                                       ratio=9, layers=1, repeats=1)],
-                         out_dir=tmp_path)
-        rows = sweep(spec)
+        rows = sweep([RunSpec(frames=2, grid=(4, 4), channels=16, heads=2,
+                              ratio=2, layers=1, repeats=1),
+                      RunSpec(frames=2, grid=(4, 4), channels=16, heads=2,
+                              ratio=9, layers=1, repeats=1)], tmp_path)
         assert rows, "the valid run must still produce rows"
         failures = read_csv(tmp_path / "failures.csv")
         assert len(failures) == 1 and failures[0]["run_id"] == "1"
@@ -175,6 +201,13 @@ class TestConfigFile:
         assert code == EXIT_OK
         text = capsys.readouterr().out
         assert "14.58" not in text
+
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("framse=9\n")
+        code = main(["flops", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "framse" in capsys.readouterr().err
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["flops", "--config", str(tmp_path / "nope.cfg")]) == EXIT_IO

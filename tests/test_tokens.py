@@ -1,9 +1,12 @@
 """Token layout, synthetic generation, and the binary dump format."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from descattn.tokens import (BadMagicError, FrameLayout, TokenTensor,
+from descattn.tokens import (DUMP_MAGIC, DUMP_VERSION, BadMagicError, DumpError,
+                             FrameLayout, TokenTensor,
                              TruncatedPayloadError, VersionMismatchError,
                              generate_synthetic, image_grid_layout, load_dump,
                              save_dump, split_grid)
@@ -111,6 +114,14 @@ class TestDumpFormat:
         blob = save_dump(generate_synthetic(2, DESK, 0))
         with pytest.raises(TruncatedPayloadError):
             load_dump(blob + b"\x00" * 4)
+
+    @pytest.mark.parametrize("s, h, c", [(0, 8, 32), (1, 0, 32), (1, 8, 0)],
+                             ids=["S=0", "H=0", "C=0"])
+    def test_degenerate_header_rejected(self, s, h, c):
+        # a header-only dump: with S=0 the empty payload has the declared size
+        header = struct.pack("<4sIIIIIIII", DUMP_MAGIC, DUMP_VERSION, s, h, 8, 1, 4, c, 4)
+        with pytest.raises(DumpError, match="degenerate"):
+            load_dump(header)
 
 
 def test_flatten_unflatten_roundtrip():
