@@ -28,8 +28,6 @@ do not reconcile them.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -226,10 +224,6 @@ class ErrorReport:
     def final_max(self) -> float:
         return self.per_layer_max[-1]
 
-    @property
-    def final_mean(self) -> float:
-        return self.per_layer_mean[-1]
-
 
 def divergence(a: TokenTensor, b: TokenTensor) -> tuple[float, float]:
     """(max abs, mean abs) element-wise difference of two token tensors."""
@@ -273,12 +267,3 @@ def markdown_resource_table(metrics: dict[str, dict[str, dict[int, float]]],
             cells = [f"{vals[s]:g}" if s in vals else "-" for s in s_values]
             lines.append(f"| {metric} | {mode} | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
-
-
-def error_report_csv(report: ErrorReport) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["layer", "max_abs", "mean_abs"])
-    for i, (mx, mn) in enumerate(zip(report.per_layer_max, report.per_layer_mean)):
-        w.writerow([i, f"{mx:.10e}", f"{mn:.10e}"])
-    return buf.getvalue()

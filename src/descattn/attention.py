@@ -7,10 +7,16 @@ scores (1 / sqrt(C / heads)).  The dense global kernel is the exact reference
 the descriptor kernel approximates: with an uncompressed bundle and no
 auxiliaries the two are the same computation.
 
-Masks are additive: disallowed logits become -inf before the softmax.  A row
-with no allowed key degenerates to a residual passthrough of the attention
-sub-block and raises MaskedRowWarning; valid configurations never produce one
-because a query's own frame is always visible to it.
+One private score path (LN1, the Q/K projections, the per-head scaled scores,
+the mask and the row softmax) serves the forward of every kernel, the
+diagnostic ``attention_probabilities`` and the score histogram, so all three
+see the same probabilities bit for bit.
+
+A mask is a boolean (Q, K) visibility built from provenance frames; hidden
+scores become -inf before the softmax.  A row with no visible key degenerates
+to a residual passthrough of the attention sub-block and raises
+MaskedRowWarning; valid configurations never produce one because a query's own
+frame is always visible to it.
 
 No positional encoding is applied anywhere: frame identity flows only through
 token content and masks.
@@ -127,75 +133,74 @@ class AttentionMask:
         ends = np.append(cuts - 1, np.iinfo(np.int64).max)
         return ends[idx]
 
-    def bias(self, query_frames: np.ndarray, key_frames: np.ndarray) -> np.ndarray | None:
-        """Additive (Q, K) mask: 0 where allowed, -inf where not."""
+    def visible(self, query_frames: np.ndarray, key_frames: np.ndarray) -> np.ndarray | None:
+        """Boolean (Q, K) visibility: True where a query may attend to a key,
+        None when the mask hides nothing."""
         if self.mode == "none":
             return None
         key_frames = np.asarray(key_frames, dtype=np.int64)
         if key_frames.size and key_frames.min() < 0:
             raise ValueError("mask boundaries inconsistent with provenance: "
                              "negative key frame index")
-        allowed = key_frames[None, :] <= self.block_end(query_frames)[:, None]
-        bias = np.zeros(allowed.shape, dtype=np.float64)
-        bias[~allowed] = -np.inf
-        return bias
+        return key_frames[None, :] <= self.block_end(query_frames)[:, None]
 
 
-def _head_slices(channels: int, heads: int):
-    d = channels // heads
-    return [(i * d, (i + 1) * d) for i in range(heads)], d
+def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
+            visible: np.ndarray | None):
+    """The one attention score path, up to the post-softmax probabilities.
 
-
-def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
-                     bias: np.ndarray | None) -> np.ndarray:
-    """One full pre-norm block; queries from x_q, keys/values from kv."""
+    Runs LN1 and the Q/K projections, then returns the normed key/value rows
+    (for the caller's V projection) and an iterator that yields each head's
+    (channel slice, (Q, K) float64 probabilities) in turn, so that only one
+    head's scores are materialized at a time.
+    """
     q_in = layer_norm(x_q, w.ln1_gamma, w.ln1_beta)
     kv_in = q_in if kv is x_q else layer_norm(kv, w.ln1_gamma, w.ln1_beta)
     q = matmul(q_in, w.wq)
     k = matmul(kv_in, w.wk)
-    v = matmul(kv_in, w.wv)
-
-    if bias is not None:
-        dead = ~np.any(np.isfinite(bias), axis=1)
+    if visible is not None:
+        dead = ~visible.any(axis=1)
         if dead.any():
             warnings.warn(f"{int(dead.sum())} fully masked query rows; "
                           "attention contributes nothing for them", MaskedRowWarning)
+    return kv_in, _head_probabilities(q, k, w.heads, visible)
 
-    slices, d = _head_slices(w.channels, w.heads)
+
+def _head_probabilities(q: np.ndarray, k: np.ndarray, heads: int,
+                        visible: np.ndarray | None):
+    d = q.shape[1] // heads
     inv_sqrt_d = 1.0 / np.sqrt(d)
+    for lo in range(0, q.shape[1], d):
+        cols = slice(lo, lo + d)
+        scores = (q[:, cols].astype(np.float64)
+                  @ k[:, cols].astype(np.float64).T) * inv_sqrt_d
+        if visible is not None:
+            scores[~visible] = -np.inf
+        yield cols, stable_softmax_rows(scores)
+
+
+def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
+                     visible: np.ndarray | None) -> np.ndarray:
+    """One full pre-norm block; queries from x_q, keys/values from kv."""
+    kv_in, heads = _scores(x_q, kv, w, visible)
+    v = matmul(kv_in, w.wv)
     ctx = np.empty((x_q.shape[0], w.channels), dtype=np.float64)
-    for lo, hi in slices:
-        scores = (q[:, lo:hi].astype(np.float64)
-                  @ k[:, lo:hi].astype(np.float64).T) * inv_sqrt_d
-        if bias is not None:
-            scores = scores + bias
-        probs = stable_softmax_rows(scores)
-        ctx[:, lo:hi] = probs @ v[:, lo:hi].astype(np.float64)
+    for cols, probs in heads:
+        ctx[:, cols] = probs @ v[:, cols].astype(np.float64)
 
     attn = matmul(ctx.astype(x_q.dtype), w.wo)
     y = x_q + attn
     return y + mlp(layer_norm(y, w.ln2_gamma, w.ln2_beta), w.w1, w.b1, w.w2, w.b2)
 
 
-def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
-                            bias: np.ndarray | None = None) -> np.ndarray:
-    """Post-softmax probabilities, shape (heads, queries, keys).
+def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights) -> np.ndarray:
+    """Post-softmax probabilities, shape (heads, queries, keys), bitwise the
+    ones the unmasked forward of the same block uses.
 
     Diagnostic path: materializes every head, so keep inputs desk-scale.
     """
-    q_in = layer_norm(x_q, w.ln1_gamma, w.ln1_beta)
-    kv_in = q_in if kv is x_q else layer_norm(kv, w.ln1_gamma, w.ln1_beta)
-    q = matmul(q_in, w.wq)
-    k = matmul(kv_in, w.wk)
-    slices, d = _head_slices(w.channels, w.heads)
-    out = np.empty((w.heads, x_q.shape[0], kv.shape[0]), dtype=np.float64)
-    for h, (lo, hi) in enumerate(slices):
-        scores = (q[:, lo:hi].astype(np.float64)
-                  @ k[:, lo:hi].astype(np.float64).T) / np.sqrt(d)
-        if bias is not None:
-            scores = scores + bias
-        out[h] = stable_softmax_rows(scores)
-    return out
+    _, heads = _scores(x_q, kv, w, None)
+    return np.stack([probs for _, probs in heads])
 
 
 def frame_attention(t: TokenTensor, w: BlockWeights) -> TokenTensor:
@@ -217,11 +222,11 @@ def dense_global_attention(t: TokenTensor, w: BlockWeights,
     if w.channels != t.channels:
         raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
     flat = t.flat()
-    bias = None
+    visible = None
     if mask is not None and mask.mode != "none":
         frames = t.token_frames()
-        bias = mask.bias(frames, frames)
-    out = _attention_block(flat, flat, w, bias)
+        visible = mask.visible(frames, frames)
+    out = _attention_block(flat, flat, w, visible)
     return t.with_values(out.reshape(t.values.shape))
 
 
@@ -236,10 +241,10 @@ def descriptor_attention(t: TokenTensor, bundle: DescriptorBundle, w: BlockWeigh
         raise ValueError(f"bundle channels {bundle.channels} != token channels {t.channels}")
     if w.channels != t.channels:
         raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
-    bias = None
+    visible = None
     if mask is not None and mask.mode != "none":
-        bias = mask.bias(t.token_frames(), bundle.frames)
-    out = _attention_block(t.flat(), bundle.descriptors, w, bias)
+        visible = mask.visible(t.token_frames(), bundle.frames)
+    out = _attention_block(t.flat(), bundle.descriptors, w, visible)
     return t.with_values(out.reshape(t.values.shape))
 
 
@@ -256,12 +261,8 @@ def attention_score_histogram(t: TokenTensor, w: BlockWeights, mode: str
         raise ValueError(f"histogram mode must be 'frame' or 'global', got {mode!r}")
     edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
-    if mode == "frame":
-        for f in range(t.frames):
-            probs = attention_probabilities(t.values[f], t.values[f], w)
+    for x in (t.values if mode == "frame" else [t.flat()]):
+        _, heads = _scores(x, x, w, None)
+        for _, probs in heads:
             counts += np.histogram(probs, bins=edges)[0]
-    else:
-        flat = t.flat()
-        probs = attention_probabilities(flat, flat, w)
-        counts += np.histogram(probs, bins=edges)[0]
     return counts, edges

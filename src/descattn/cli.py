@@ -289,7 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, allow_abbrev=False, help=text)
         _add_run_flags(p, bench=name == "bench")
         p.add_argument("--out", default=".", type=Path)
-        p.add_argument("--format", default="csv", choices=("csv", "md"))
+        if name == "flops":
+            p.add_argument("--format", default="csv", choices=("csv", "md"))
         p.add_argument("--config", default=None, type=Path)
     return parser
 

@@ -61,7 +61,6 @@ class MemoryCache:
     layout: FrameLayout
     layers: tuple[DescriptorBundle, ...]
     frames_seen: int = 0
-    first_frame_persisted: bool = False
 
     @classmethod
     def empty(cls, cfg: StreamConfig) -> "MemoryCache":
@@ -114,8 +113,7 @@ def step(chunk: TokenTensor, cache: MemoryCache, cfg: StreamConfig,
     keyframes = None
     if base.include_aux:
         keyframes = select_keyframes(chunk, base.selector)
-    persist_now = (cfg.persist_first_frame and base.include_aux
-                   and first_chunk and not cache.first_frame_persisted)
+    persist_now = cfg.persist_first_frame and base.include_aux and first_chunk
 
     x = chunk
     new_stores = []
@@ -131,8 +129,7 @@ def step(chunk: TokenTensor, cache: MemoryCache, cfg: StreamConfig,
             _retained_subset(bundle, cfg.retain_rate, persist_now)))
 
     new_cache = MemoryCache(layout=cache.layout, layers=tuple(new_stores),
-                            frames_seen=offset + chunk.frames,
-                            first_frame_persisted=cache.first_frame_persisted or persist_now)
+                            frames_seen=offset + chunk.frames)
     return x, new_cache
 
 

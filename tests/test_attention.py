@@ -6,13 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from descattn import attention
 from descattn.attention import (AttentionMask, BlockWeights, MaskedRowWarning,
                                 attention_probabilities, attention_score_histogram,
                                 dense_global_attention, descriptor_attention,
                                 frame_attention, init_block_weights)
 from descattn.compression import CompressionMethod, KeyframeSelector, build_bundle
-from descattn.kernels import rng
+from descattn.kernels import rng, stable_softmax_rows
 from descattn.tokens import FrameLayout, TokenTensor, generate_synthetic
 
 DESK = FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=32)
@@ -121,6 +124,21 @@ class TestMasks:
         out = dense_global_attention(TokenTensor(DESK, bumped), w, mask)
         assert np.max(np.abs(out.values[0] - base.values[0])) <= 1e-6
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda frames: st.tuples(
+        st.just(frames),
+        st.sets(st.integers(1, frames - 1)).map(lambda cuts: tuple(sorted(cuts))))))
+    def test_every_block_equals_unmasked_prefix(self, frames_and_cuts):
+        # block [a, e) sees exactly frames [0, e): the same output as an
+        # unmasked pass over that prefix
+        frames, cuts = frames_and_cuts
+        t = generate_synthetic(frames, DESK, 30)
+        w = init_block_weights(31, 32, 4)
+        out = dense_global_attention(t, w, AttentionMask("block_causal", cuts))
+        for a, e in zip((0, *cuts), (*cuts, frames)):
+            prefix = dense_global_attention(TokenTensor(DESK, t.values[:e]), w)
+            assert np.max(np.abs(out.values[a:e] - prefix.values[a:e])) <= 1e-6
+
     def test_mask_none_sees_everything(self):
         t = generate_synthetic(2, DESK, 8)
         w = init_block_weights(2, 32, 4)
@@ -209,6 +227,31 @@ class TestDescriptorOracle:
                               KeyframeSelector(), True)
         probs = attention_probabilities(t.flat(), bundle.descriptors, w)
         assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) <= 1e-6
+
+
+class TestOneScorePath:
+    @pytest.mark.parametrize("mode", ["dense", "descriptor"])
+    def test_probabilities_are_the_forwards_bitwise(self, mode, monkeypatch):
+        t = generate_synthetic(3, DESK, 26)
+        w = init_block_weights(27, 32, 4)
+        seen = []
+
+        def recording(scores):
+            seen.append(stable_softmax_rows(scores))
+            return seen[-1]
+
+        monkeypatch.setattr(attention, "stable_softmax_rows", recording)
+        if mode == "dense":
+            dense_global_attention(t, w)
+            kv = t.flat()
+        else:
+            bundle = build_bundle(t, CompressionMethod("bilinear", 2),
+                                  KeyframeSelector(interval=2), True)
+            descriptor_attention(t, bundle, w)
+            kv = bundle.descriptors
+        forward = np.stack(seen)
+        assert forward.shape[0] == w.heads
+        assert np.array_equal(attention_probabilities(t.flat(), kv, w), forward)
 
 
 class TestHistogram:

@@ -115,8 +115,7 @@ class TestBench:
         assert calls == {"tokens": 3, "weights": 3}
 
     def test_markdown_summary(self, tmp_path):
-        main(["bench", *TINY, "--repeats", "1", "--format", "md",
-              "--out", str(tmp_path)])
+        main(["bench", *TINY, "--repeats", "1", "--out", str(tmp_path)])
         assert (tmp_path / "summary.md").read_text().startswith("| mode |")
 
     def test_empty_spec_writes_header_only(self, tmp_path):
@@ -157,6 +156,12 @@ class TestStreamAndHistogram:
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert main(["bench", "--bogus"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["bench", "stream", "histogram"])
+    def test_format_is_a_flops_flag_only(self, command, tmp_path):
+        # only flops has a markdown output for --format to select
+        assert main([command, *TINY, "--format", "md",
+                     "--out", str(tmp_path)]) == EXIT_USAGE
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE

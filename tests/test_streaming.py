@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from descattn import streaming
 from descattn.aggregator import AggregatorConfig, forward_offline, init_weights
-from descattn.attention import AttentionMask
+from descattn.attention import AttentionMask, descriptor_attention
 from descattn.compression import CompressionMethod, DescriptorKind, KeyframeSelector
 from descattn.streaming import MemoryCache, StreamConfig, cache_report, run_stream, step
 from descattn.tokens import FrameLayout, TokenTensor, generate_synthetic
@@ -133,6 +134,25 @@ class TestMemoryLaw:
         # camera/register and key-frame anchors are never retained
         assert not np.any(store.kinds == int(DescriptorKind.CAMERA))
         assert not np.any(store.kinds == int(DescriptorKind.KEYFRAME_PATCH))
+
+    def test_every_chunk_sees_one_first_frame_group(self, monkeypatch):
+        # later chunks attend to the persisted frame 0, never to their own
+        # first frame as a second first-frame group
+        keys_seen = []
+
+        def recording(t, keys, w, mask=None):
+            keys_seen.append(keys)
+            return descriptor_attention(t, keys, w, mask)
+
+        monkeypatch.setattr(streaming, "descriptor_attention", recording)
+        base = desc_base(include_aux=True, ratio=2, layers=2, seed=23)
+        cfg = StreamConfig(base=base, chunk_size=2, retain_rate=2)
+        run_stream(generate_synthetic(6, DESK, 24), cfg)
+        assert len(keys_seen) == 3 * 2  # chunks x layers
+        for keys in keys_seen:
+            first = keys.kinds == int(DescriptorKind.FIRST_FRAME_PATCH)
+            assert first.sum() == DESK.tokens_per_frame
+            assert np.all(keys.frames[first] == 0)
 
     def test_persist_flag_off_keeps_cache_compressed_only(self):
         base = desc_base(include_aux=True, ratio=4, layers=1, seed=19)
