@@ -10,8 +10,7 @@ layer so long sequences run in bounded memory, and analytic FLOP / memory
 models make the reductions auditable.
 """
 
-from .aggregator import (AggregatorConfig, LayerWeights, StubHeads, forward_offline,
-                         init_stub_heads, init_weights, run_heads)
+from .aggregator import AggregatorConfig, LayerWeights, forward_offline, init_weights
 from .analysis import (ErrorReport, FlopReport, MemoryModel, attention_core_reduction,
                        compare_modes, divergence, flops_attention, memory_model,
                        reference_end_to_end_reduction)
@@ -26,7 +25,7 @@ from .kernels import (layer_norm, matmul, resample_bilinear, resample_nearest,
 from .streaming import (CacheReport, MemoryCache, StreamConfig, cache_report,
                         run_stream, step)
 from .tokens import (FrameLayout, TokenTensor, generate_synthetic, image_grid_layout,
-                     load_dump, save_dump, split_grid)
+                     split_grid)
 
 __version__ = "0.1.0"
 
@@ -34,15 +33,15 @@ __all__ = [
     "AggregatorConfig", "AttentionMask", "BlockWeights", "CacheReport",
     "CompressionMethod", "DescriptorBundle", "DescriptorKind", "ErrorReport",
     "FlopReport", "FrameLayout", "KeyframeSelector", "LayerWeights",
-    "MemoryCache", "MemoryModel", "StreamConfig", "StubHeads", "TokenTensor",
+    "MemoryCache", "MemoryModel", "StreamConfig", "TokenTensor",
     "attention_core_reduction", "attention_probabilities",
     "attention_score_histogram", "build_bundle", "bundle_token_counts",
-    "cache_report", "compare_modes", "compress_frame", "dense_global_attention",
-    "descriptor_attention", "divergence", "flops_attention", "forward_offline",
-    "frame_attention", "generate_synthetic", "image_grid_layout",
-    "init_block_weights", "init_stub_heads", "init_weights", "layer_norm",
-    "lloyd", "load_dump", "matmul", "memory_model",
+    "cache_report", "compare_modes", "compress_frame",
+    "dense_global_attention", "descriptor_attention", "divergence",
+    "flops_attention", "forward_offline", "frame_attention",
+    "generate_synthetic", "image_grid_layout", "init_block_weights",
+    "init_weights", "layer_norm", "lloyd", "matmul", "memory_model",
     "reference_end_to_end_reduction", "resample_bilinear", "resample_nearest",
-    "rng", "run_heads", "run_stream", "save_dump", "select_keyframes",
-    "split_grid", "stable_softmax_rows", "step", "topk_norm_indices",
+    "rng", "run_stream", "select_keyframes", "split_grid",
+    "stable_softmax_rows", "step", "topk_norm_indices",
 ]

@@ -10,14 +10,14 @@ structural and numeric contracts, not to learn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attention import (AttentionMask, BlockWeights, dense_global_attention,
                         descriptor_attention, frame_attention, init_block_weights)
 from .compression import CompressionMethod, KeyframeSelector, build_bundle, select_keyframes
-from .kernels import matmul, rng
+from .kernels import rng
 from .tokens import FrameLayout, TokenTensor
 
 GLOBAL_MODES = ("dense", "descriptor")
@@ -109,46 +109,3 @@ def forward_offline(t: TokenTensor, cfg: AggregatorConfig,
             layer_outputs.append(x)
     return x
 
-
-@dataclass(frozen=True)
-class StubHeads:
-    """Shape-level stand-ins for the downstream prediction heads.
-
-    One linear map reads the camera token into a fixed-width camera vector,
-    another maps every patch token to a (value, uncertainty) pair.  Both are
-    plain affine maps, so doubling the input doubles (output - bias).
-    """
-
-    w_camera: np.ndarray = field(repr=False)
-    b_camera: np.ndarray = field(repr=False)
-    w_map: np.ndarray = field(repr=False)
-    b_map: np.ndarray = field(repr=False)
-
-    @property
-    def camera_dim(self) -> int:
-        return self.w_camera.shape[1]
-
-
-def init_stub_heads(layout: FrameLayout, seed: int, camera_dim: int = 9,
-                    dtype=np.float32) -> StubHeads:
-    gen = rng(seed)
-    c = layout.channels
-    scale = 1.0 / np.sqrt(c)
-    return StubHeads(
-        w_camera=(gen.standard_normal((c, camera_dim)) * scale).astype(dtype),
-        b_camera=gen.standard_normal(camera_dim).astype(dtype),
-        w_map=(gen.standard_normal((c, 2)) * scale).astype(dtype),
-        b_map=gen.standard_normal(2).astype(dtype))
-
-
-def run_heads(t_out: TokenTensor, heads: StubHeads) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the stub heads; returns (S, camera_dim) vectors and (S, H, W, 2) maps."""
-    lay = t_out.layout
-    if lay.n_camera < 1:
-        raise ValueError("camera head needs at least one camera token per frame")
-    cam_tokens = t_out.values[:, 0, :]
-    cameras = matmul(cam_tokens, heads.w_camera) + heads.b_camera
-    patches = t_out.values[:, lay.n_special:, :].reshape(-1, lay.channels)
-    maps = (matmul(patches, heads.w_map) + heads.b_map).reshape(
-        t_out.frames, lay.h, lay.w, 2)
-    return cameras, maps

@@ -192,7 +192,7 @@ def memory_model(cfg: StreamConfig, frames: int) -> MemoryModel:
     lay = base.layout
     per_frame = base.method.tokens_per_frame(lay)
     compressed = math.ceil(frames / cfg.retain_rate) * per_frame
-    aux = lay.tokens_per_frame if (base.include_aux and cfg.persist_first_frame) else 0
+    aux = lay.tokens_per_frame if base.include_aux else 0
     per_layer = compressed + aux
     k = frames * lay.tokens_per_frame
     width = np.dtype(base.dtype).itemsize

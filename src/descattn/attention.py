@@ -209,7 +209,9 @@ def frame_attention(t: TokenTensor, w: BlockWeights) -> TokenTensor:
         raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
     out = np.empty_like(t.values)
     for f in range(t.frames):
-        out[f] = _attention_block(t.values[f], t.values[f], w, None)
+        # one view for both roles, so the score path runs LN1 once per frame
+        x = t.values[f]
+        out[f] = _attention_block(x, x, w, None)
     return t.with_values(out)
 
 

@@ -7,9 +7,9 @@ bundle; queries are only the chunk's full-resolution tokens, so cached tokens
 are never updated.  After the chunk, the memory grows by the chunk's
 compressed descriptors from frames whose *global* index is a multiple of the
 retain rate p (frame 0 of the stream is therefore always kept, regardless of
-chunk size), plus, once, the verbatim first-frame tokens when auxiliaries and
-first-frame persistence are enabled.  Camera/register and key-frame anchors
-are chunk-local and are never retained.
+chunk size), plus, once, the verbatim first-frame tokens when auxiliaries
+are enabled.  Camera/register and key-frame anchors are chunk-local and are
+never retained.
 
 Memory grows sublinearly: per layer, compressed tokens number exactly
 ceil(frames_seen / p) * floor(H/r) * floor(W/r).  With p = 1 the retained key
@@ -40,7 +40,6 @@ class StreamConfig:
     base: AggregatorConfig
     chunk_size: int = 10
     retain_rate: int = 5
-    persist_first_frame: bool = True
 
     def __post_init__(self):
         if self.chunk_size < 1:
@@ -113,7 +112,7 @@ def step(chunk: TokenTensor, cache: MemoryCache, cfg: StreamConfig,
     keyframes = None
     if base.include_aux:
         keyframes = select_keyframes(chunk, base.selector)
-    persist_now = cfg.persist_first_frame and base.include_aux and first_chunk
+    persist_now = base.include_aux and first_chunk
 
     x = chunk
     new_stores = []

@@ -1,4 +1,4 @@
-"""Token layout of multi-frame sequences and reproducible binary fixtures.
+"""Token layout of multi-frame sequences and seeded synthetic tokens.
 
 A frame carries ``n_camera`` camera tokens and ``n_register`` register tokens
 first, then its H x W patch tokens in row-major order.  A sequence of S frames
@@ -12,33 +12,11 @@ shared across threads without copies.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernels import rng
-
-DUMP_MAGIC = b"TOKS"
-DUMP_VERSION = 1
-_HEADER = struct.Struct("<4sIIIIIIII")  # magic, version, S, H, W, n_camera, n_register, C, elem_width
-
-
-class DumpError(ValueError):
-    """Base class for malformed sequence dumps."""
-
-
-class BadMagicError(DumpError):
-    """The byte stream does not start with the dump magic tag."""
-
-
-class VersionMismatchError(DumpError):
-    """The dump was written by an incompatible format version."""
-
-
-class TruncatedPayloadError(DumpError):
-    """Header-declared payload size disagrees with the bytes present."""
-
 
 @dataclass(frozen=True)
 class FrameLayout:
@@ -157,37 +135,3 @@ def split_grid(t: TokenTensor, frame: int) -> tuple[np.ndarray, np.ndarray]:
     grid = row[lay.n_special:].reshape(lay.h, lay.w, lay.channels)
     return special, grid
 
-
-def save_dump(t: TokenTensor) -> bytes:
-    """Serialize to the versioned little-endian dump format (bitwise round-trip)."""
-    lay = t.layout
-    elem_width = t.values.dtype.itemsize
-    header = _HEADER.pack(DUMP_MAGIC, DUMP_VERSION, t.frames, lay.h, lay.w,
-                          lay.n_camera, lay.n_register, lay.channels, elem_width)
-    payload = np.ascontiguousarray(t.values, dtype=t.values.dtype.newbyteorder("<"))
-    return header + payload.tobytes()
-
-
-def load_dump(data: bytes) -> TokenTensor:
-    """Parse bytes produced by save_dump; rejects bad magic, wrong version,
-    and payload-size mismatches with distinct error types, and zero-sized
-    headers with ``DumpError``."""
-    if len(data) < _HEADER.size or data[:4] != DUMP_MAGIC:
-        raise BadMagicError("not a token dump: bad magic tag")
-    magic, version, s, h, w, n_cam, n_reg, c, elem_width = _HEADER.unpack_from(data)
-    if version != DUMP_VERSION:
-        raise VersionMismatchError(f"dump version {version}, expected {DUMP_VERSION}")
-    if elem_width not in (4, 8):
-        raise DumpError(f"unsupported element width {elem_width}")
-    if min(s, h, w, c) < 1:
-        raise DumpError(f"degenerate header: S={s}, H={h}, W={w}, C={c} must all be >= 1")
-    layout = FrameLayout(h=h, w=w, n_camera=n_cam, n_register=n_reg, channels=c)
-    expected = s * layout.tokens_per_frame * c * elem_width
-    payload = data[_HEADER.size:]
-    if len(payload) != expected:
-        raise TruncatedPayloadError(
-            f"payload is {len(payload)} bytes, header declares {expected}")
-    dtype = np.dtype("<f4" if elem_width == 4 else "<f8")
-    values = np.frombuffer(payload, dtype=dtype).reshape(
-        s, layout.tokens_per_frame, c).astype(dtype.newbyteorder("="))
-    return TokenTensor(layout, values)

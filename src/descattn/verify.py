@@ -1,13 +1,19 @@
 """Named runtime checks, one per library invariant.
 
 Each check is a small self-contained function that raises AssertionError on
-violation.  ``run_all`` executes every check and reports one PASS/FAIL line
-per name; the CLI ``verify`` subcommand exits nonzero if anything fails.
+violation.  ``CHECKS`` is the one list of named invariants: ``run_all``
+executes every check and reports one PASS/FAIL line per name, the CLI
+``verify`` subcommand exits nonzero if anything fails, and pytest
+parametrizes over ``CHECKS`` (``tests/test_verify.py``), one test id per name.
 The suite is intentionally desk-scale so a full pass stays well under the
 two-minute budget on an ordinary machine.
 """
 
 from __future__ import annotations
+
+import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -16,9 +22,11 @@ from .aggregator import AggregatorConfig, forward_offline, init_weights
 from .attention import (AttentionMask, attention_probabilities,
                         dense_global_attention, descriptor_attention,
                         frame_attention, init_block_weights)
-from .compression import (CompressionMethod, DescriptorKind, KeyframeSelector,
-                          build_bundle, bundle_token_counts, compress_frame, lloyd)
-from .kernels import matmul, resample_bilinear, rng, stable_softmax_rows
+from .compression import (COMPRESSION_KINDS, CompressionMethod, DescriptorKind,
+                          KeyframeSelector, build_bundle, bundle_token_counts,
+                          compress_frame, lloyd)
+from .kernels import (half_pixel_centers, matmul, resample_bilinear, rng,
+                      stable_softmax_rows)
 from .tokens import FrameLayout, TokenTensor, generate_synthetic
 
 _PATCH_ONLY = FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=32)
@@ -56,7 +64,6 @@ def check_bilinear_exact_on_affine(seed: int) -> None:
     a, b, c0 = gen.standard_normal(3)
     grid = (a * yy + b * xx + c0)[:, :, None].astype(np.float64)
     out = resample_bilinear(grid, 3, 2)
-    from .kernels import half_pixel_centers
     ys = half_pixel_centers(h, 3)
     xs = half_pixel_centers(w, 2)
     expect = a * ys[:, None] + b * xs[None, :] + c0
@@ -84,29 +91,36 @@ def check_flatten_roundtrip(seed: int) -> None:
 
 def check_matched_budget(seed: int) -> None:
     gen = rng(seed)
-    grid = gen.standard_normal((8, 8, 16)).astype(np.float32)
-    for kind in ("bilinear", "nearest", "avgpool", "topk_norm", "learned_conv"):
-        tokens, coords = compress_frame(grid, CompressionMethod(kind, 4))
-        assert tokens.shape == (4, 16), (kind, tokens.shape)
-        assert coords.shape == (4, 2)
+    # the 9x7 grid does not divide evenly by r=3: the budget is floor(H/r) * floor(W/r)
+    for (h, w, c), ratio in (((8, 8, 16), 4), ((9, 7, 6), 3)):
+        grid = gen.standard_normal((h, w, c)).astype(np.float32)
+        budget = (h // ratio) * (w // ratio)
+        for kind in COMPRESSION_KINDS:
+            tokens, coords = compress_frame(grid, CompressionMethod(kind, ratio))
+            assert tokens.shape == (budget, c), (kind, tokens.shape)
+            assert coords.shape == (budget, 2)
 
 
 def check_lloyd_objective(seed: int) -> None:
     pts = rng(seed).standard_normal((40, 6))
     _, _, history = lloyd(pts, 5)
+    assert len(history) >= 1
     diffs = np.diff(np.asarray(history))
     assert np.all(diffs <= 1e-9), history
 
 
 def check_topk_order(seed: int) -> None:
     gen = rng(seed)
-    grid = gen.standard_normal((4, 4, 8)).astype(np.float32)
-    tokens, coords = compress_frame(grid, CompressionMethod("topk_norm", 2))
-    flat_idx = coords[:, 0] * 4 + coords[:, 1]
-    assert np.all(np.diff(flat_idx) > 0), "top-k output must keep row-major order"
-    norms = np.linalg.norm(grid.reshape(-1, 8), axis=1)
-    cutoff = np.sort(norms)[-4]
-    assert np.all(np.linalg.norm(tokens, axis=1) >= cutoff - 1e-6)
+    for side, c, ratio in ((4, 8, 2), (8, 4, 4)):
+        grid = gen.standard_normal((side, side, c)).astype(np.float32)
+        tokens, coords = compress_frame(grid, CompressionMethod("topk_norm", ratio))
+        budget = (side // ratio) ** 2
+        assert tokens.shape == (budget, c), tokens.shape
+        flat_idx = coords[:, 0] * side + coords[:, 1]
+        assert np.all(np.diff(flat_idx) > 0), "top-k output must keep row-major order"
+        norms = np.linalg.norm(grid.reshape(-1, c), axis=1)
+        cutoff = np.sort(norms)[-budget]
+        assert np.all(np.linalg.norm(tokens, axis=1) >= cutoff - 1e-6)
 
 
 def check_kind_counts(seed: int) -> None:
@@ -134,7 +148,9 @@ def check_oracle_equivalence(seed: int) -> None:
 def check_key_duplication(seed: int) -> None:
     t = generate_synthetic(3, _DESK, seed)
     w = init_block_weights(seed + 1, 32, 4)
-    bundle = build_bundle(t, CompressionMethod("bilinear", 2), KeyframeSelector(), True)
+    # interval 2 picks two key frames, so key-frame anchors are duplicated too
+    bundle = build_bundle(t, CompressionMethod("bilinear", 2),
+                          KeyframeSelector(interval=2), True)
     doubled = bundle.concat(bundle)
     a = descriptor_attention(t, bundle, w)
     b = descriptor_attention(t, doubled, w)
@@ -150,22 +166,27 @@ def check_masked_independence(seed: int) -> None:
     bumped[1:] += 3.0
     out = dense_global_attention(TokenTensor(t.layout, bumped), w, mask)
     assert np.max(np.abs(out.values[0] - base.values[0])) <= 1e-6
+    assert not np.allclose(out.values[1:], base.values[1:]), "bump had no effect"
 
 
 def check_probability_rows(seed: int) -> None:
     t = generate_synthetic(2, _DESK, seed)
     w = init_block_weights(seed + 3, 32, 4)
     flat = t.flat()
-    probs = attention_probabilities(flat, flat, w)
-    sums = probs.sum(axis=-1)
-    assert np.max(np.abs(sums - 1.0)) <= 1e-6
+    bundle = build_bundle(t, CompressionMethod("bilinear", 2), KeyframeSelector(), True)
+    for keys in (flat, bundle.descriptors):
+        probs = attention_probabilities(flat, keys, w)
+        assert probs.shape == (w.heads, len(flat), len(keys))
+        sums = probs.sum(axis=-1)
+        assert np.max(np.abs(sums - 1.0)) <= 1e-6
 
 
 def check_mode_equivalence_layers(seed: int) -> None:
-    cfg = _desc_cfg(layout=_PATCH_ONLY, seed=seed, include_aux=False,
+    cfg = _desc_cfg(layout=_PATCH_ONLY, seed=seed, include_aux=False, layers=4,
                     method=CompressionMethod("bilinear", 1))
     t = generate_synthetic(3, _PATCH_ONLY, seed)
     report = analysis.compare_modes(t, cfg)
+    assert len(report.per_layer_max) == cfg.layers
     assert all(m <= 1e-5 for m in report.per_layer_max), report
 
 
@@ -182,11 +203,12 @@ def check_bundles_differ_across_layers(seed: int) -> None:
 
 
 def check_aggregator_determinism(seed: int) -> None:
-    cfg = _desc_cfg(seed=seed)
     t = generate_synthetic(3, _DESK, seed)
-    a = forward_offline(t, cfg)
-    b = forward_offline(t, cfg)
-    assert np.array_equal(a.values, b.values)
+    for mode in ("dense", "descriptor"):
+        cfg = _desc_cfg(seed=seed).with_mode(mode)
+        a = forward_offline(t, cfg)
+        b = forward_offline(t, cfg)
+        assert np.array_equal(a.values, b.values), mode
 
 
 def check_streaming_causality(seed: int) -> None:
@@ -197,6 +219,7 @@ def check_streaming_causality(seed: int) -> None:
     bumped[4:] -= 2.5
     out2 = streaming.run_stream(TokenTensor(t.layout, bumped), cfg)
     assert np.max(np.abs(out.values[:4] - out2.values[:4])) <= 1e-6
+    assert not np.allclose(out.values[4:], out2.values[4:]), "bump had no effect"
 
 
 def check_memory_law(seed: int) -> None:
@@ -212,13 +235,15 @@ def check_memory_law(seed: int) -> None:
 
 
 def check_sublinear_growth(seed: int) -> None:
-    cfg = streaming.StreamConfig(base=_desc_cfg(seed=seed), chunk_size=4, retain_rate=3)
-    t = generate_synthetic(10, _DESK, seed)
-    _, cache = streaming.run_stream(t, cfg, return_cache=True)
-    per_frame = cfg.base.method.tokens_per_frame(_DESK)
-    bound = (t.frames / cfg.retain_rate + 1) * per_frame + _DESK.tokens_per_frame
-    for total, _, _ in cache.token_counts():
-        assert total <= bound
+    for frames, chunk in ((10, 4), (20, 5)):
+        cfg = streaming.StreamConfig(base=_desc_cfg(seed=seed), chunk_size=chunk,
+                                     retain_rate=3)
+        t = generate_synthetic(frames, _DESK, seed)
+        _, cache = streaming.run_stream(t, cfg, return_cache=True)
+        per_frame = cfg.base.method.tokens_per_frame(_DESK)
+        bound = (t.frames / cfg.retain_rate + 1) * per_frame + _DESK.tokens_per_frame
+        for total, _, _ in cache.token_counts():
+            assert total <= bound, (frames, total, bound)
 
 
 def check_full_chunk_matches_offline(seed: int) -> None:
@@ -231,10 +256,13 @@ def check_full_chunk_matches_offline(seed: int) -> None:
 
 
 def check_core_ratio(seed: int) -> None:
-    cfg = _desc_cfg(seed=seed, method=CompressionMethod("bilinear", 4))
-    dense = analysis.flops_attention(cfg.with_mode("dense"), 6)
-    desc = analysis.flops_attention(cfg, 6)
-    assert dense.attention_core * desc.kd_tokens == desc.attention_core * desc.k_tokens
+    for ratio in (1, 2, 4):
+        cfg = _desc_cfg(seed=seed, method=CompressionMethod("bilinear", ratio))
+        dense = analysis.flops_attention(cfg.with_mode("dense"), 6)
+        desc = analysis.flops_attention(cfg, 6)
+        # integer cross-multiplication: dense_core / desc_core == K / K_d
+        assert dense.attention_core * desc.kd_tokens == \
+            desc.attention_core * desc.k_tokens, ratio
 
 
 def check_memory_model_matches_live(seed: int) -> None:
@@ -248,6 +276,7 @@ def check_memory_model_matches_live(seed: int) -> None:
     for layer in report.layers:
         assert layer.total_tokens == model.per_layer_cache_tokens
     assert report.total_tokens == model.cache_total_tokens
+    assert report.total_bytes == model.cache_bytes
 
 
 def check_cache_chunk_invariant(seed: int) -> None:
@@ -270,16 +299,19 @@ def check_cache_chunk_invariant(seed: int) -> None:
 
 
 def check_bench_rows_reproducible(seed: int) -> None:
+    """Every row of a written ``sweep.csv``, read back as text, replays to its
+    recorded checksum."""
     from . import cli  # deferred: cli imports this module for `verify`
-    import tempfile
-    from pathlib import Path
     with tempfile.TemporaryDirectory() as tmp:
-        rows = cli.sweep([cli.RunSpec(frames=2, seed=seed, repeats=1, layers=1,
-                                      grid=(4, 4), channels=16, heads=2, ratio=2)],
-                         Path(tmp))
-        for row in rows:
-            rerun = cli.run_from_row(row)
-            assert rerun == row["checksum"], (row, rerun)
+        cli.sweep([cli.RunSpec(frames=2, seed=seed, repeats=1, layers=1,
+                               grid=(4, 4), channels=16, heads=2, ratio=2)],
+                  Path(tmp))
+        with open(Path(tmp) / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    assert [row["mode"] for row in rows] == ["dense", "descriptor", "stream"], rows
+    for row in rows:
+        rerun = cli.run_from_row(row)
+        assert rerun == row["checksum"], (row, rerun)
 
 
 CHECKS = [

@@ -128,8 +128,7 @@ def test_criterion_4_streaming_equivalence():
     the block-causal offline oracle within 1e-4 (float32, S=12, c=4, L=4)."""
     base_full = _cfg(DESK, layers=2, ratio=2, include_aux=True, seed=4)
     t_full = d.generate_synthetic(6, DESK, 40)
-    cfg_full = d.StreamConfig(base=base_full, chunk_size=6, retain_rate=1,
-                              persist_first_frame=True)
+    cfg_full = d.StreamConfig(base=base_full, chunk_size=6, retain_rate=1)
     streamed = d.run_stream(t_full, cfg_full)
     offline = d.forward_offline(t_full, base_full)
     assert np.array_equal(streamed.values, offline.values)
@@ -137,8 +136,7 @@ def test_criterion_4_streaming_equivalence():
     base = _cfg(PATCH_ONLY, layers=4, ratio=2, include_aux=False, seed=41)
     t = d.generate_synthetic(12, PATCH_ONLY, 41)
     chunked = d.run_stream(t, d.StreamConfig(base=base, chunk_size=4,
-                                             retain_rate=1,
-                                             persist_first_frame=True))
+                                             retain_rate=1))
     oracle = d.forward_offline(t, replace(base, mask=d.AttentionMask.chunked(4, 12)))
     err = float(np.max(np.abs(chunked.values - oracle.values)))
     assert err <= 1e-4, err
@@ -253,27 +251,11 @@ def test_criterion_8_determinism(tmp_path):
 
 
 def test_criterion_9_performance_sanity():
-    """Analytic attention FLOPs are monotone nonincreasing in r (gating);
-    wall-clock comparison at S=64 is reported, not gated."""
+    """Analytic attention FLOPs are monotone nonincreasing in r.  Measured
+    dense-versus-descriptor timings come from ``benchmark/``, not from here."""
     cores = []
     for ratio in (1, 2, 4, 8):
         cfg = _cfg(DESK, layers=1, ratio=ratio, include_aux=False)
         cores.append(d.flops_attention(cfg, 64).attention_core)
     assert all(a >= b for a, b in zip(cores, cores[1:]))
-
-    cfg = _cfg(DESK, layers=1, ratio=4, include_aux=True, seed=90)
-    t = d.generate_synthetic(64, DESK, 91)
-    w = d.init_weights(cfg)
-    timings = {}
-    for mode in ("dense", "descriptor"):
-        runs = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            d.forward_offline(t, cfg.with_mode(mode), w)
-            runs.append(time.perf_counter() - t0)
-        timings[mode] = sorted(runs)[1]
-    faster = timings["descriptor"] < timings["dense"]
-    print(f"\nPASS criterion 9: analytic FLOPs monotone in r; measured S=64 "
-          f"dense {timings['dense'] * 1e3:.0f}ms vs descriptor "
-          f"{timings['descriptor'] * 1e3:.0f}ms "
-          f"({'descriptor faster' if faster else 'NOT faster on this machine; reported only'})")
+    print("\nPASS criterion 9: analytic FLOPs monotone nonincreasing in r")

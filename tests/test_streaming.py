@@ -4,16 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from descattn import streaming
 from descattn.aggregator import AggregatorConfig, forward_offline, init_weights
+from descattn.analysis import memory_model
 from descattn.attention import AttentionMask, descriptor_attention
-from descattn.compression import CompressionMethod, DescriptorKind, KeyframeSelector
+from descattn.compression import (COMPRESSION_KINDS, CompressionMethod, DescriptorKind,
+                                  KeyframeSelector)
 from descattn.streaming import MemoryCache, StreamConfig, cache_report, run_stream, step
 from descattn.tokens import FrameLayout, TokenTensor, generate_synthetic
 
 DESK = FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=32)
 PATCH_ONLY = FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=32)
+SMALL = FrameLayout(h=4, w=4, n_camera=1, n_register=4, channels=8)
 
 
 def desc_base(layout=DESK, ratio=2, include_aux=True, layers=2, seed=0,
@@ -69,14 +74,6 @@ class TestStep:
 
 
 class TestDegenerateChunking:
-    def test_single_chunk_equals_offline_exactly(self):
-        base = desc_base(seed=7)
-        t = generate_synthetic(5, DESK, 8)
-        cfg = StreamConfig(base=base, chunk_size=5, retain_rate=1)
-        streamed = run_stream(t, cfg)
-        offline = forward_offline(t, base)
-        assert np.array_equal(streamed.values, offline.values)
-
     def test_chunk_larger_than_sequence_is_one_step(self):
         base = desc_base(seed=9)
         t = generate_synthetic(3, DESK, 9)
@@ -97,34 +94,59 @@ class TestBlockCausalOracle:
         offline = forward_offline(t, masked)
         assert np.max(np.abs(streamed.values - offline.values)) <= 1e-4
 
-    def test_causality_under_future_perturbation(self):
-        base = desc_base(seed=13)
-        cfg = StreamConfig(base=base, chunk_size=3, retain_rate=2)
-        t = generate_synthetic(9, DESK, 14)
-        out = run_stream(t, cfg)
-        bumped = t.values.copy()
-        bumped[6:] *= -3.0
-        out2 = run_stream(TokenTensor(DESK, bumped), cfg)
-        assert np.max(np.abs(out.values[:6] - out2.values[:6])) <= 1e-6
-        assert not np.allclose(out.values[6:], out2.values[6:])
+
+@st.composite
+def stream_cases(draw):
+    """(S, c, p, r, kind, aux, layers, boundary); the boundary is a chunk start."""
+    frames = draw(st.integers(1, 8))
+    chunk = draw(st.integers(1, frames + 2))
+    chunks = -(-frames // chunk)
+    return (frames, chunk, draw(st.integers(1, 4)), draw(st.sampled_from((1, 2, 4))),
+            draw(st.sampled_from(COMPRESSION_KINDS)), draw(st.booleans()),
+            draw(st.integers(1, 2)), chunk * draw(st.integers(1, chunks)))
 
 
 class TestMemoryLaw:
-    @pytest.mark.parametrize("frames,p", [(7, 1), (7, 2), (12, 5), (20, 5)])
-    def test_compressed_count_closed_form(self, frames, p):
-        base = desc_base(include_aux=False, ratio=4, layers=2, seed=15)
-        cfg = StreamConfig(base=base, chunk_size=4, retain_rate=p)
-        t = generate_synthetic(frames, DESK, 16)
-        _, cache = run_stream(t, cfg, return_cache=True)
-        per_frame = base.method.tokens_per_frame(DESK)
-        expect = ((frames - 1) // p + 1) * per_frame
-        for total, comp, aux in cache.token_counts():
-            assert (total, comp, aux) == (expect, expect, 0)
+    @settings(max_examples=25, deadline=None)
+    @given(stream_cases())
+    @example((7, 4, 1, 4, "bilinear", False, 2, 4))
+    @example((7, 4, 2, 4, "bilinear", False, 2, 4))
+    @example((12, 4, 5, 4, "bilinear", False, 2, 8))
+    @example((20, 4, 5, 4, "bilinear", False, 2, 12))
+    def test_law_causality_and_full_chunk(self, case):
+        frames, chunk, p, r, kind, aux, layers, boundary = case
+        base = AggregatorConfig(layout=SMALL, layers=layers, heads=2,
+                                global_mode="descriptor",
+                                method=CompressionMethod(kind, r), include_aux=aux,
+                                selector=KeyframeSelector(interval=3), seed=frames)
+        cfg = StreamConfig(base=base, chunk_size=chunk, retain_rate=p)
+        t = generate_synthetic(frames, SMALL, 100 + frames)
+        out, cache = run_stream(t, cfg, return_cache=True)
+
+        # the memory law: every layer's live counts equal the closed form
+        model = memory_model(cfg, frames)
+        expect = (model.per_layer_cache_tokens, model.per_layer_compressed_tokens,
+                  model.per_layer_aux_tokens)
+        assert cache.token_counts() == [expect] * layers
+        per_frame = base.method.tokens_per_frame(SMALL)
+        assert model.per_layer_compressed_tokens == -(-frames // p) * per_frame
+        assert model.per_layer_aux_tokens == (SMALL.tokens_per_frame if aux else 0)
+
+        # causality: chunks before the boundary ignore every later frame, bitwise
+        if boundary < frames:
+            bumped = t.values.copy()
+            bumped[boundary:] *= -3.0
+            out2 = run_stream(TokenTensor(SMALL, bumped), cfg)
+            assert np.array_equal(out.values[:boundary], out2.values[:boundary])
+            assert not np.array_equal(out.values[boundary:], out2.values[boundary:])
+
+        # one chunk covering the sequence is the offline forward, bitwise
+        if chunk >= frames:
+            assert np.array_equal(out.values, forward_offline(t, base).values)
 
     def test_first_frame_persists_across_chunks(self):
         base = desc_base(include_aux=True, ratio=4, layers=1, seed=17)
-        cfg = StreamConfig(base=base, chunk_size=2, retain_rate=2,
-                           persist_first_frame=True)
+        cfg = StreamConfig(base=base, chunk_size=2, retain_rate=2)
         t = generate_synthetic(6, DESK, 18)
         _, cache = run_stream(t, cfg, return_cache=True)
         store = cache.layers[0]
@@ -153,24 +175,6 @@ class TestMemoryLaw:
             first = keys.kinds == int(DescriptorKind.FIRST_FRAME_PATCH)
             assert first.sum() == DESK.tokens_per_frame
             assert np.all(keys.frames[first] == 0)
-
-    def test_persist_flag_off_keeps_cache_compressed_only(self):
-        base = desc_base(include_aux=True, ratio=4, layers=1, seed=19)
-        cfg = StreamConfig(base=base, chunk_size=2, retain_rate=2,
-                           persist_first_frame=False)
-        t = generate_synthetic(4, DESK, 20)
-        _, cache = run_stream(t, cfg, return_cache=True)
-        assert np.all(cache.layers[0].kinds == int(DescriptorKind.COMPRESSED))
-
-    def test_sublinear_growth_bound(self):
-        base = desc_base(seed=21)
-        cfg = StreamConfig(base=base, chunk_size=5, retain_rate=3)
-        t = generate_synthetic(20, DESK, 22)
-        _, cache = run_stream(t, cfg, return_cache=True)
-        per_frame = base.method.tokens_per_frame(DESK)
-        bound = (t.frames / cfg.retain_rate + 1) * per_frame + DESK.tokens_per_frame
-        for total, _, _ in cache.token_counts():
-            assert total <= bound
 
 
 class TestCacheReport:

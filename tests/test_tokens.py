@@ -1,15 +1,9 @@
-"""Token layout, synthetic generation, and the binary dump format."""
-
-import struct
+"""Token layout, synthetic generation, and grid splitting."""
 
 import numpy as np
 import pytest
 
-from descattn.tokens import (DUMP_MAGIC, DUMP_VERSION, BadMagicError, DumpError,
-                             FrameLayout, TokenTensor,
-                             TruncatedPayloadError, VersionMismatchError,
-                             generate_synthetic, image_grid_layout, load_dump,
-                             save_dump, split_grid)
+from descattn.tokens import FrameLayout, generate_synthetic, image_grid_layout, split_grid
 
 DESK = FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=32)
 
@@ -23,12 +17,6 @@ def test_image_grid_layout_side():
     lay = image_grid_layout(channels=8)
     assert (lay.h, lay.w) == (37, 37)
     assert lay.tokens_per_frame == 37 * 37 + 5
-
-
-def test_k_is_frames_times_tokens():
-    t = generate_synthetic(6, DESK, 0)
-    assert t.total_tokens == 6 * DESK.tokens_per_frame
-    assert t.flat().shape == (t.total_tokens, 32)
 
 
 def test_same_seed_bitwise_identical():
@@ -82,52 +70,6 @@ class TestSplitGrid:
         t = generate_synthetic(2, DESK, 0)
         with pytest.raises(IndexError):
             split_grid(t, 2)
-
-
-class TestDumpFormat:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_roundtrip_bitwise(self, dtype):
-        t = generate_synthetic(3, DESK, 21, dtype=dtype)
-        back = load_dump(save_dump(t))
-        assert back.layout == t.layout
-        assert back.values.dtype == t.values.dtype
-        assert np.array_equal(back.values, t.values)
-
-    def test_bad_magic_rejected(self):
-        blob = bytearray(save_dump(generate_synthetic(1, DESK, 0)))
-        blob[0:4] = b"NOPE"
-        with pytest.raises(BadMagicError):
-            load_dump(bytes(blob))
-
-    def test_version_mismatch_rejected(self):
-        blob = bytearray(save_dump(generate_synthetic(1, DESK, 0)))
-        blob[4] = 99
-        with pytest.raises(VersionMismatchError):
-            load_dump(bytes(blob))
-
-    def test_truncated_payload_rejected(self):
-        blob = save_dump(generate_synthetic(2, DESK, 0))
-        with pytest.raises(TruncatedPayloadError):
-            load_dump(blob[:-7])
-
-    def test_oversize_payload_rejected(self):
-        blob = save_dump(generate_synthetic(2, DESK, 0))
-        with pytest.raises(TruncatedPayloadError):
-            load_dump(blob + b"\x00" * 4)
-
-    @pytest.mark.parametrize("s, h, c", [(0, 8, 32), (1, 0, 32), (1, 8, 0)],
-                             ids=["S=0", "H=0", "C=0"])
-    def test_degenerate_header_rejected(self, s, h, c):
-        # a header-only dump: with S=0 the empty payload has the declared size
-        header = struct.pack("<4sIIIIIIII", DUMP_MAGIC, DUMP_VERSION, s, h, 8, 1, 4, c, 4)
-        with pytest.raises(DumpError, match="degenerate"):
-            load_dump(header)
-
-
-def test_flatten_unflatten_roundtrip():
-    t = generate_synthetic(4, DESK, 3)
-    back = TokenTensor.from_flat(t.flat(), DESK, 4)
-    assert np.array_equal(back.values, t.values)
 
 
 def test_token_frames_map():
