@@ -1,4 +1,4 @@
-"""Alternating-attention stack: golden checksum, structure, determinism."""
+"""Alternating-attention stack: mode equivalence, structure, determinism."""
 
 import hashlib
 
@@ -28,6 +28,19 @@ def desc_cfg(layout=PATCH_ONLY, **kw) -> AggregatorConfig:
 
 
 class TestModeEquivalence:
+    def test_uncompressed_descriptor_mode_tracks_dense_per_layer(self):
+        cfg = desc_cfg(layers=4, seed=2)
+        t = generate_synthetic(3, PATCH_ONLY, 12)
+        w = init_weights(cfg)
+        desc_layers, dense_layers = [], []
+        forward_offline(t, cfg, w, layer_outputs=desc_layers)
+        forward_offline(t, cfg.with_mode("dense"), w, layer_outputs=dense_layers)
+        for i, (a, b) in enumerate(zip(desc_layers, dense_layers)):
+            err = np.max(np.abs(a.values - b.values))
+            assert err <= 1e-5, f"layer {i}: {err}"
+        final = np.max(np.abs(desc_layers[-1].values - dense_layers[-1].values))
+        assert final <= 1e-4
+
     def test_golden_checksum(self):
         cfg = AggregatorConfig(layout=GOLDEN_LAYOUT, layers=2, heads=4,
                                global_mode="descriptor",
@@ -70,6 +83,17 @@ class TestStackStructure:
         auto = forward_offline(t, cfg, w)
         assert np.array_equal(auto.values, manual.values)
 
+    def test_bundles_recomputed_per_layer(self):
+        cfg = AggregatorConfig(layout=DESK, layers=2, global_mode="descriptor",
+                               method=CompressionMethod("bilinear", 2), seed=9)
+        t = generate_synthetic(3, DESK, 9)
+        w = init_weights(cfg)
+        x1 = frame_attention(t, w[0].frame)
+        b1 = build_bundle(x1, cfg.method, cfg.selector, True)
+        x2 = frame_attention(descriptor_attention(x1, b1, w[0].global_), w[1].frame)
+        b2 = build_bundle(x2, cfg.method, cfg.selector, True)
+        assert not np.array_equal(b1.descriptors, b2.descriptors)
+
     def test_layer_weights_differ(self):
         w = init_weights(desc_cfg(seed=1))
         assert not np.array_equal(w[0].frame.wq, w[1].frame.wq)
@@ -91,6 +115,14 @@ class TestStackStructure:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("mode", ["dense", "descriptor"])
+    def test_bitwise_repeatable(self, mode):
+        cfg = AggregatorConfig(layout=DESK, layers=2, global_mode=mode,
+                               method=CompressionMethod("bilinear", 2), seed=7)
+        t = generate_synthetic(3, DESK, 7)
+        assert np.array_equal(forward_offline(t, cfg).values,
+                              forward_offline(t, cfg).values)
+
     def test_weights_deterministic_per_seed(self):
         a = init_weights(desc_cfg(seed=42))
         b = init_weights(desc_cfg(seed=42))

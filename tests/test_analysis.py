@@ -11,6 +11,7 @@ from descattn.analysis import (REFERENCE_RESOURCES, attention_core_reduction,
 from descattn.compression import CompressionMethod, KeyframeSelector
 from descattn.streaming import StreamConfig, cache_report, run_stream
 from descattn.tokens import FrameLayout, generate_synthetic, image_grid_layout
+from descattn.verify import check_cache_chunk_invariant
 
 PATCH_ONLY = FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=32)
 DESK = FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=32)
@@ -30,6 +31,15 @@ class TestFlops:
         dense = flops_attention(cfg.with_mode("dense"), 6)
         desc = flops_attention(cfg, 6)
         assert dense.attention_core == desc.attention_core
+
+    def test_core_ratio_is_k_over_kd_exactly(self):
+        for ratio in (1, 2, 4):
+            cfg = cfg_with(ratio=ratio)
+            dense = flops_attention(cfg.with_mode("dense"), 5)
+            desc = flops_attention(cfg, 5)
+            # integer cross-multiplication: dense_core / desc_core == K / K_d
+            assert dense.attention_core * desc.kd_tokens == \
+                desc.attention_core * desc.k_tokens
 
     def test_square_reduction_on_pure_patch_grids(self):
         for ratio in (1, 2, 4):
@@ -70,6 +80,11 @@ class TestFlops:
             cores.append(flops_attention(cfg, 16).attention_core)
         assert all(a >= b for a, b in zip(cores, cores[1:]))
 
+    def test_analytic_model_ignores_chunking(self):
+        # live caches at chunk sizes 2, 3 and 10 all equal the closed form,
+        # and layer 0's retained descriptors are bitwise chunk-independent
+        check_cache_chunk_invariant(seed=11)
+
     def test_compression_cost_by_method(self):
         frames = 4
         costs = {}
@@ -99,6 +114,18 @@ class TestMemoryModel:
         base = cfg_with(ratio=4, include_aux=False)
         cfg = StreamConfig(base=base, chunk_size=10, retain_rate=5)
         assert memory_model(cfg, 100).drop_ratio_limit == 1.0 / 80.0
+
+    def test_matches_live_cache_exactly(self):
+        base = cfg_with(ratio=4, include_aux=False, layers=2, seed=1)
+        cfg = StreamConfig(base=base, chunk_size=5, retain_rate=5)
+        t = generate_synthetic(20, DESK, 2)
+        _, cache = run_stream(t, cfg, return_cache=True)
+        live = cache_report(cache)
+        model = memory_model(cfg, 20)
+        for layer in live.layers:
+            assert layer.total_tokens == model.per_layer_cache_tokens
+        assert live.total_tokens == model.cache_total_tokens
+        assert live.total_bytes == model.cache_bytes
 
     def test_matches_live_cache_with_persisted_first_frame(self):
         base = cfg_with(ratio=4, include_aux=True, layers=2, seed=3)

@@ -127,6 +127,16 @@ class TestFrameGlobalConsistency:
 
 
 class TestMasks:
+    def test_per_frame_blocks_isolate_frame_zero(self):
+        t = generate_synthetic(4, DESK, 8)
+        w = init_block_weights(2, 32, 4)
+        mask = AttentionMask.frame_causal(4)
+        base = dense_global_attention(t, w, mask)
+        bumped = t.values.copy()
+        bumped[1:] += 5.0
+        out = dense_global_attention(TokenTensor(DESK, bumped), w, mask)
+        assert np.max(np.abs(out.values[0] - base.values[0])) <= 1e-6
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda frames: st.tuples(
         st.just(frames),
@@ -182,6 +192,24 @@ class TestMasks:
 
 
 class TestDescriptorOracle:
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+    def test_uncompressed_bundle_reduces_to_dense(self, dtype, tol):
+        t = generate_synthetic(4, PATCH_ONLY, 15, dtype=dtype)
+        w = init_block_weights(21, 32, 4, dtype)
+        bundle = build_bundle(t, CompressionMethod("bilinear", 1), include_aux=False)
+        dense = dense_global_attention(t, w)
+        desc = descriptor_attention(t, bundle, w)
+        assert np.max(np.abs(dense.values - desc.values)) <= tol
+
+    def test_duplicating_every_descriptor_is_invariant(self):
+        t = generate_synthetic(3, DESK, 16)
+        w = init_block_weights(22, 32, 4)
+        bundle = build_bundle(t, CompressionMethod("bilinear", 2),
+                              KeyframeSelector(interval=2), True)
+        out = descriptor_attention(t, bundle, w)
+        doubled = descriptor_attention(t, bundle.concat(bundle), w)
+        assert np.max(np.abs(out.values - doubled.values)) <= 1e-6
+
     def test_duplication_invariance_three_key_direct_evaluation(self):
         # softmax over duplicated keys halves every weight and sums each value
         # twice: identical output, verified by direct float64 evaluation
@@ -204,6 +232,14 @@ class TestDescriptorOracle:
         bundle = build_bundle(other, CompressionMethod("bilinear", 4), include_aux=False)
         with pytest.raises(ValueError, match="channels"):
             descriptor_attention(t, bundle, init_block_weights(1, 32, 4))
+
+    def test_probability_rows_sum_to_one(self):
+        t = generate_synthetic(2, DESK, 18)
+        w = init_block_weights(23, 32, 4)
+        bundle = build_bundle(t, CompressionMethod("bilinear", 2),
+                              KeyframeSelector(), True)
+        probs = attention_probabilities(t.flat(), bundle.descriptors, w)
+        assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) <= 1e-6
 
 
 class TestOneScorePath:

@@ -55,6 +55,11 @@ class TestBench:
         rows = read_csv(tmp_path / "sweep.csv")
         assert list(rows[0].keys()) == list(SWEEP_COLUMNS)
 
+    def test_rows_reproduce_checksums(self, tmp_path):
+        main(["bench", *TINY, "--repeats", "1", "--out", str(tmp_path)])
+        for row in read_csv(tmp_path / "sweep.csv"):
+            assert run_from_row(row) == row["checksum"]
+
     def test_repeats_share_checksums(self, tmp_path):
         main(["bench", *TINY, "--repeats", "3", "--out", str(tmp_path)])
         rows = read_csv(tmp_path / "sweep.csv")

@@ -5,7 +5,7 @@ import pytest
 
 from descattn.compression import (BundleCounts, CompressionMethod, DescriptorKind,
                                   KeyframeSelector, build_bundle,
-                                  bundle_token_counts, compress_frame,
+                                  bundle_token_counts, compress_frame, lloyd,
                                   select_keyframes, topk_norm_indices)
 from descattn.kernels import rng
 from descattn.tokens import FrameLayout, TokenTensor, generate_synthetic, image_grid_layout
@@ -40,6 +40,14 @@ class TestCompressFrame:
         tokens, _ = compress_frame(grid, CompressionMethod(kind, 1))
         assert np.array_equal(tokens, grid.reshape(-1, 4))
 
+    @pytest.mark.parametrize("kind", ["bilinear", "nearest", "avgpool",
+                                      "topk_norm", "learned_conv"])
+    def test_matched_budget(self, kind):
+        grid = rng(2).standard_normal((9, 7, 6)).astype(np.float32)
+        tokens, coords = compress_frame(grid, CompressionMethod(kind, 3))
+        assert tokens.shape == (3 * 2, 6)
+        assert coords.shape == (6, 2)
+
     def test_avgpool_constant(self):
         grid = np.full((8, 8, 3), 1.5, dtype=np.float32)
         tokens, _ = compress_frame(grid, CompressionMethod("avgpool", 4))
@@ -72,6 +80,13 @@ class TestCompressFrame:
     def test_topk_tie_prefers_earlier_row_major_index(self):
         grid = np.array([[[2.0], [1.0]], [[2.0], [2.0]]], dtype=np.float32)
         assert list(topk_norm_indices(grid, 2)) == [0, 2]
+
+    def test_topk_budget_matches_grid_methods(self):
+        grid = rng(5).standard_normal((8, 8, 4)).astype(np.float32)
+        tokens, coords = compress_frame(grid, CompressionMethod("topk_norm", 4))
+        assert tokens.shape == (4, 4)
+        flat_idx = coords[:, 0] * 8 + coords[:, 1]
+        assert np.all(np.diff(flat_idx) > 0)
 
     def test_learned_conv_deterministic_per_seed(self):
         grid = rng(6).standard_normal((8, 8, 4)).astype(np.float32)
@@ -133,6 +148,12 @@ class TestKeyframes:
         a = select_keyframes(t, KeyframeSelector("random", interval=3, seed=5))
         b = select_keyframes(t, KeyframeSelector("random", interval=3, seed=5))
         assert np.array_equal(a, b)
+
+    def test_lloyd_objective_nonincreasing(self):
+        pts = rng(8).standard_normal((60, 5))
+        _, _, history = lloyd(pts, 6)
+        assert len(history) >= 1
+        assert np.all(np.diff(np.asarray(history)) <= 1e-9)
 
 
 class TestBuildBundle:

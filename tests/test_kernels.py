@@ -27,6 +27,12 @@ def matmul_oracle(a, b):
 
 
 class TestMatmul:
+    def test_identity_exact(self):
+        a = np.array([[3.0, 4.0], [5.0, 6.0]], dtype=np.float32)
+        eye = np.eye(2, dtype=np.float32)
+        assert np.array_equal(matmul(eye, a), a)
+        assert np.array_equal(matmul(a, eye), a)
+
     def test_scalar_case(self):
         out = matmul(np.array([[2.0]]), np.array([[3.0]]))
         assert out.shape == (1, 1) and out[0, 0] == 6.0
@@ -130,6 +136,19 @@ class TestBilinear:
     def test_identity_is_bitwise(self):
         grid = rng(4).standard_normal((6, 5, 2)).astype(np.float32)
         assert np.array_equal(resample_bilinear(grid, 6, 5), grid)
+
+    def test_affine_fields_exact(self):
+        gen = rng(11)
+        h, w = 10, 8
+        yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
+                             indexing="ij")
+        coef = gen.standard_normal(3)
+        grid = (coef[0] * yy + coef[1] * xx + coef[2])[:, :, None]
+        out = resample_bilinear(grid, 4, 3)
+        ys = half_pixel_centers(h, 4)
+        xs = half_pixel_centers(w, 3)
+        expect = coef[0] * ys[:, None] + coef[1] * xs[None, :] + coef[2]
+        assert np.max(np.abs(out[:, :, 0] - expect)) <= 1e-6
 
     def test_upsampling_rejected(self):
         with pytest.raises(ShapeError):

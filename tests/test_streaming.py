@@ -74,6 +74,14 @@ class TestStep:
 
 
 class TestDegenerateChunking:
+    def test_single_chunk_equals_offline_exactly(self):
+        base = desc_base(seed=7)
+        t = generate_synthetic(5, DESK, 8)
+        cfg = StreamConfig(base=base, chunk_size=5, retain_rate=1)
+        streamed = run_stream(t, cfg)
+        offline = forward_offline(t, base)
+        assert np.array_equal(streamed.values, offline.values)
+
     def test_chunk_larger_than_sequence_is_one_step(self):
         base = desc_base(seed=9)
         t = generate_synthetic(3, DESK, 9)
@@ -94,6 +102,17 @@ class TestBlockCausalOracle:
         offline = forward_offline(t, masked)
         assert np.max(np.abs(streamed.values - offline.values)) <= 1e-4
 
+    def test_causality_under_future_perturbation(self):
+        base = desc_base(seed=13)
+        cfg = StreamConfig(base=base, chunk_size=3, retain_rate=2)
+        t = generate_synthetic(9, DESK, 14)
+        out = run_stream(t, cfg)
+        bumped = t.values.copy()
+        bumped[6:] *= -3.0
+        out2 = run_stream(TokenTensor(DESK, bumped), cfg)
+        assert np.max(np.abs(out.values[:6] - out2.values[:6])) <= 1e-6
+        assert not np.allclose(out.values[6:], out2.values[6:])
+
 
 @st.composite
 def stream_cases(draw):
@@ -107,6 +126,17 @@ def stream_cases(draw):
 
 
 class TestMemoryLaw:
+    @pytest.mark.parametrize("frames,p", [(7, 1), (7, 2), (12, 5), (20, 5)])
+    def test_compressed_count_closed_form(self, frames, p):
+        base = desc_base(include_aux=False, ratio=4, layers=2, seed=15)
+        cfg = StreamConfig(base=base, chunk_size=4, retain_rate=p)
+        t = generate_synthetic(frames, DESK, 16)
+        _, cache = run_stream(t, cfg, return_cache=True)
+        per_frame = base.method.tokens_per_frame(DESK)
+        expect = ((frames - 1) // p + 1) * per_frame
+        for total, comp, aux in cache.token_counts():
+            assert (total, comp, aux) == (expect, expect, 0)
+
     @settings(max_examples=25, deadline=None)
     @given(stream_cases())
     @example((7, 4, 1, 4, "bilinear", False, 2, 4))
@@ -175,6 +205,16 @@ class TestMemoryLaw:
             first = keys.kinds == int(DescriptorKind.FIRST_FRAME_PATCH)
             assert first.sum() == DESK.tokens_per_frame
             assert np.all(keys.frames[first] == 0)
+
+    def test_sublinear_growth_bound(self):
+        base = desc_base(seed=21)
+        cfg = StreamConfig(base=base, chunk_size=5, retain_rate=3)
+        t = generate_synthetic(20, DESK, 22)
+        _, cache = run_stream(t, cfg, return_cache=True)
+        per_frame = base.method.tokens_per_frame(DESK)
+        bound = (t.frames / cfg.retain_rate + 1) * per_frame + DESK.tokens_per_frame
+        for total, _, _ in cache.token_counts():
+            assert total <= bound
 
 
 class TestCacheReport:
