@@ -27,20 +27,22 @@ for row in ramp:
     print("  " + " ".join(f"{v:5.2f}" for v in row))
 
 for kind in ("bilinear", "nearest", "avgpool", "topk_norm", "learned_conv"):
-    tokens, coords = d.compress_frame(grid, d.CompressionMethod(kind, 4, seed=2))
-    print(f"\n{kind}: {tokens.shape[0]} descriptors, source coords "
-          f"{[tuple(c) for c in coords]}")
+    tokens = d.compress_frame(grid, d.CompressionMethod(kind, 4, seed=2))
+    print(f"\n{kind}: {tokens.shape[0]} descriptors")
+    if kind == "topk_norm":
+        kept = d.topk_norm_indices(grid, tokens.shape[0])
+        print(f"  kept row-major indices {[int(i) for i in kept]}")
     print("  channel-0 values: " + " ".join(f"{v:6.2f}" for v in tokens[:, 0]))
 
 print("\n-- bilinear is exact on affine fields; pooling only preserves means --")
 affine = (0.5 * yy - 0.25 * xx)[:, :, None].astype(np.float32)
-bil, _ = d.compress_frame(affine, d.CompressionMethod("bilinear", 2))
+bil = d.compress_frame(affine, d.CompressionMethod("bilinear", 2))
 from descattn.kernels import half_pixel_centers
 ys, xs = half_pixel_centers(h, 4), half_pixel_centers(w, 4)
 expect = (0.5 * ys[:, None] - 0.25 * xs[None, :]).reshape(-1)
 print(f"  bilinear max error vs the affine field: "
       f"{np.max(np.abs(bil[:, 0] - expect)):.2e}")
-avg, _ = d.compress_frame(affine.astype(np.float64), d.CompressionMethod("avgpool", 2))
+avg = d.compress_frame(affine.astype(np.float64), d.CompressionMethod("avgpool", 2))
 print(f"  avgpool keeps the global mean: {avg.mean():.6f} vs {affine.mean():.6f}")
 
 print("\n-- key-frame selection on two obvious frame groups --")

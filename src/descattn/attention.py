@@ -12,11 +12,13 @@ the mask and the row softmax) serves the forward of every kernel, the
 diagnostic ``attention_probabilities`` and the score histogram, so all three
 see the same probabilities bit for bit.
 
-A mask is a boolean (Q, K) visibility built from provenance frames; hidden
-scores become -inf before the softmax.  A row with no visible key degenerates
-to a residual passthrough of the attention sub-block and raises
-MaskedRowWarning; valid configurations never produce one because a query's own
-frame is always visible to it.
+A mask's cuts split the frames into blocks, and a query sees only the keys
+whose provenance frame does not lie past its own block.  With cuts, the mask
+is a boolean (Q, K) visibility and hidden scores become -inf before the
+softmax; without cuts it hides nothing and builds no array.  A row with no
+visible key degenerates to a residual passthrough of the attention sub-block
+and raises MaskedRowWarning; valid configurations never produce one because a
+query's own frame is always visible to it.
 
 No positional encoding is applied anywhere: frame identity flows only through
 token content and masks.
@@ -33,7 +35,6 @@ from .compression import DescriptorBundle
 from .kernels import layer_norm, matmul, mlp, rng, stable_softmax_rows
 from .tokens import TokenTensor
 
-MASK_MODES = ("none", "block_causal")
 HISTOGRAM_BINS = 64
 
 
@@ -99,15 +100,13 @@ class AttentionMask:
     increasing, all > 0); frame f belongs to the block whose range contains
     it, and a query in frame f may attend only to keys whose provenance frame
     is <= the last frame of f's block.  The final block is unbounded, so one
-    mask works for any sequence at least as long as its last cut.
+    mask works for any sequence at least as long as its last cut, and a mask
+    with no cuts hides nothing.
     """
 
-    mode: str = "none"
     cuts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in MASK_MODES:
-            raise ValueError(f"unknown mask mode {self.mode!r}; choose from {MASK_MODES}")
         cuts = tuple(int(c) for c in self.cuts)
         if any(c <= 0 for c in cuts) or any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise ValueError(f"cuts must be strictly increasing and positive, got {cuts}")
@@ -115,16 +114,16 @@ class AttentionMask:
 
     @classmethod
     def none(cls) -> "AttentionMask":
-        return cls("none")
+        return cls()
 
     @classmethod
     def frame_causal(cls, frames: int) -> "AttentionMask":
         """Every frame is its own block."""
-        return cls("block_causal", tuple(range(1, frames)))
+        return cls(tuple(range(1, frames)))
 
     @classmethod
     def chunked(cls, chunk_size: int, frames: int) -> "AttentionMask":
-        return cls("block_causal", tuple(range(chunk_size, frames, chunk_size)))
+        return cls(tuple(range(chunk_size, frames, chunk_size)))
 
     def block_end(self, frames: np.ndarray) -> np.ndarray:
         """Last key frame visible to a query in each given frame."""
@@ -136,7 +135,7 @@ class AttentionMask:
     def visible(self, query_frames: np.ndarray, key_frames: np.ndarray) -> np.ndarray | None:
         """Boolean (Q, K) visibility: True where a query may attend to a key,
         None when the mask hides nothing."""
-        if self.mode == "none":
+        if not self.cuts:
             return None
         key_frames = np.asarray(key_frames, dtype=np.int64)
         if key_frames.size and key_frames.min() < 0:
@@ -225,7 +224,7 @@ def dense_global_attention(t: TokenTensor, w: BlockWeights,
         raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
     flat = t.flat()
     visible = None
-    if mask is not None and mask.mode != "none":
+    if mask is not None:
         frames = t.token_frames()
         visible = mask.visible(frames, frames)
     out = _attention_block(flat, flat, w, visible)
@@ -244,7 +243,7 @@ def descriptor_attention(t: TokenTensor, bundle: DescriptorBundle, w: BlockWeigh
     if w.channels != t.channels:
         raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
     visible = None
-    if mask is not None and mask.mode != "none":
+    if mask is not None:
         visible = mask.visible(t.token_frames(), bundle.frames)
     out = _attention_block(t.flat(), bundle.descriptors, w, visible)
     return t.with_values(out.reshape(t.values.shape))

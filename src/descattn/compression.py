@@ -8,10 +8,11 @@ A descriptor bundle for a sequence holds, in this fixed order:
 4. all tokens of each selected key frame, in frame order (verbatim).
 
 Groups 2-4 are the auxiliary anchors and only appear when requested.  Every
-descriptor carries provenance: source frame, kind, and either a source grid
-coordinate or a token offset.  Tokens may legitimately appear twice (the
-first frame contributes both a compressed and a verbatim copy); provenance
-keeps the copies distinguishable and cross-attention tolerates duplicates.
+descriptor carries provenance: its source frame and its kind.  Masks read the
+frame, and streaming retention reads both.  Tokens may legitimately appear
+twice (the first frame contributes both a compressed and a verbatim copy);
+the kind keeps the copies distinguishable and cross-attention tolerates
+duplicates.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import half_pixel_centers, resample_bilinear, resample_nearest, rng
+from .kernels import resample_bilinear, resample_nearest, rng
 from .tokens import FrameLayout, TokenTensor, split_grid
 
 COMPRESSION_KINDS = ("bilinear", "nearest", "avgpool", "topk_norm", "learned_conv")
@@ -109,14 +110,6 @@ def bundle_token_counts(frames: int, layout: FrameLayout, method: CompressionMet
     return BundleCounts(compressed, special, first, key)
 
 
-def _grid_cell_coords(layout: FrameLayout, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest source coordinate of each output cell center (round-half-down)."""
-    ys = np.clip(np.ceil(half_pixel_centers(layout.h, out_h) - 0.5), 0, layout.h - 1)
-    xs = np.clip(np.ceil(half_pixel_centers(layout.w, out_w) - 0.5), 0, layout.w - 1)
-    yy, xx = np.meshgrid(ys.astype(np.int32), xs.astype(np.int32), indexing="ij")
-    return np.stack([yy.ravel(), xx.ravel()], axis=1)
-
-
 def topk_norm_indices(tokens: np.ndarray, budget: int) -> np.ndarray:
     """Row-major indices of the ``budget`` largest-norm tokens, in original order.
 
@@ -132,14 +125,12 @@ def topk_norm_indices(tokens: np.ndarray, budget: int) -> np.ndarray:
 
 
 def _avgpool(grid: np.ndarray, r: int, out_h: int, out_w: int) -> np.ndarray:
-    g = grid.astype(np.float64)
-    out = np.empty((out_h, out_w, grid.shape[2]), dtype=np.float64)
-    for i in range(out_h):
-        for j in range(out_w):
-            cell = g[i * r:min((i + 1) * r, g.shape[0]),
-                     j * r:min((j + 1) * r, g.shape[1])]
-            out[i, j] = cell.mean(axis=(0, 1))
-    return out.astype(grid.dtype)
+    c = grid.shape[2]
+    g = grid[:out_h * r, :out_w * r].astype(np.float64)
+    cells = g.reshape(out_h, r, out_w, r, c).transpose(0, 2, 1, 3, 4)
+    # the contiguous copy makes each cell's sum run in the order of a per-cell
+    # mean; on the strided view numpy sums in another order and moves bits
+    return np.ascontiguousarray(cells).mean(axis=(2, 3)).astype(grid.dtype)
 
 
 def _learned_conv(grid: np.ndarray, method: CompressionMethod,
@@ -158,29 +149,23 @@ def _learned_conv(grid: np.ndarray, method: CompressionMethod,
     return out.reshape(out_h, out_w, c).astype(grid.dtype)
 
 
-def compress_frame(grid: np.ndarray, method: CompressionMethod,
-                   layout: FrameLayout | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Compress one H x W x C patch grid to its descriptor tokens.
+def compress_frame(grid: np.ndarray, method: CompressionMethod) -> np.ndarray:
+    """Compress one H x W x C patch grid to its (n, C) descriptor tokens.
 
-    Returns ``(tokens, coords)`` where tokens is (n, C) in row-major output
-    order with n = floor(H/r) * floor(W/r) for every method (matched budget),
-    and coords is the (n, 2) source-grid provenance.
+    Tokens are in row-major output order, with n = floor(H/r) * floor(W/r)
+    for every method (matched budget).
     """
     grid = np.asarray(grid)
     if grid.ndim != 3:
         raise ValueError(f"expected an H x W x C grid, got shape {grid.shape}")
     h, w, c = grid.shape
-    lay = layout or FrameLayout(h=h, w=w, n_camera=0, n_register=0, channels=c)
     r = method.ratio
     if r > min(h, w):
         raise ValueError(f"compression ratio {r} exceeds grid side min({h}, {w})")
     out_h, out_w = h // r, w // r
 
     if method.kind == "topk_norm":
-        idx = topk_norm_indices(grid, out_h * out_w)
-        flat = grid.reshape(-1, c)
-        coords = np.stack([idx // w, idx % w], axis=1).astype(np.int32)
-        return flat[idx].copy(), coords
+        return grid.reshape(-1, c)[topk_norm_indices(grid, out_h * out_w)]
 
     if method.kind == "bilinear":
         out = resample_bilinear(grid, out_h, out_w)
@@ -190,7 +175,7 @@ def compress_frame(grid: np.ndarray, method: CompressionMethod,
         out = _avgpool(grid, r, out_h, out_w)
     else:  # learned_conv
         out = _learned_conv(grid, method, out_h, out_w)
-    return out.reshape(-1, c), _grid_cell_coords(lay, out_h, out_w)
+    return out.reshape(-1, c)
 
 
 def lloyd(points: np.ndarray, k: int, max_iter: int = 100
@@ -262,20 +247,18 @@ def select_keyframes(t: TokenTensor, sel: KeyframeSelector) -> np.ndarray:
 class DescriptorBundle:
     """Compressed descriptors plus auxiliary anchors, with aligned provenance.
 
-    ``frames`` / ``kinds`` / ``coords`` run parallel to ``descriptors``:
-    exactly one provenance record per descriptor.  For verbatim token copies
-    the coordinate pair is (token offset, -1).
+    ``frames`` (int32 source frame) and ``kinds`` (int8 ``DescriptorKind``)
+    run parallel to ``descriptors``: exactly one provenance record per
+    descriptor.
     """
 
     descriptors: np.ndarray = field(repr=False)
     frames: np.ndarray = field(repr=False)
     kinds: np.ndarray = field(repr=False)
-    coords: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         n = self.descriptors.shape[0]
-        if not (self.frames.shape == (n,) and self.kinds.shape == (n,)
-                and self.coords.shape == (n, 2)):
+        if not (self.frames.shape == (n,) and self.kinds.shape == (n,)):
             raise ValueError("provenance arrays must align 1:1 with descriptors")
 
     @property
@@ -292,27 +275,17 @@ class DescriptorBundle:
         return DescriptorBundle(
             np.concatenate([self.descriptors, other.descriptors]),
             np.concatenate([self.frames, other.frames]),
-            np.concatenate([self.kinds, other.kinds]),
-            np.concatenate([self.coords, other.coords]))
+            np.concatenate([self.kinds, other.kinds]))
 
     def select(self, mask: np.ndarray) -> "DescriptorBundle":
         return DescriptorBundle(self.descriptors[mask], self.frames[mask],
-                                self.kinds[mask], self.coords[mask])
+                                self.kinds[mask])
 
     @classmethod
     def empty(cls, channels: int, dtype=np.float32) -> "DescriptorBundle":
         return cls(np.empty((0, channels), dtype=dtype),
                    np.empty(0, dtype=np.int32),
-                   np.empty(0, dtype=np.int8),
-                   np.empty((0, 2), dtype=np.int32))
-
-
-def _verbatim_provenance(frame: int, offsets: np.ndarray, kind: DescriptorKind,
-                         n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    frames = np.full(n, frame, dtype=np.int32)
-    kinds = np.full(n, int(kind), dtype=np.int8)
-    coords = np.stack([offsets.astype(np.int32), np.full(n, -1, np.int32)], axis=1)
-    return frames, kinds, coords
+                   np.empty(0, dtype=np.int8))
 
 
 def build_bundle(t: TokenTensor, method: CompressionMethod,
@@ -330,48 +303,31 @@ def build_bundle(t: TokenTensor, method: CompressionMethod,
     global numbering of a longer stream.
     """
     lay = t.layout
-    parts: list[np.ndarray] = []
-    frames_p: list[np.ndarray] = []
-    kinds_p: list[np.ndarray] = []
-    coords_p: list[np.ndarray] = []
-
-    for f in range(t.frames):
-        _, grid = split_grid(t, f)
-        tokens, coords = compress_frame(grid, method, lay)
-        n = tokens.shape[0]
-        parts.append(tokens)
-        frames_p.append(np.full(n, frame_offset + f, dtype=np.int32))
-        kinds_p.append(np.full(n, int(DescriptorKind.COMPRESSED), dtype=np.int8))
-        coords_p.append(coords)
+    s, n, c = t.frames, lay.tokens_per_frame, lay.channels
+    per_frame = method.tokens_per_frame(lay)
+    # one (tokens, frames, kinds) triple per block, in bundle order
+    blocks = [(np.concatenate([compress_frame(split_grid(t, f)[1], method)
+                               for f in range(s)]),
+               np.repeat(np.arange(s, dtype=np.int32), per_frame),
+               np.full(s * per_frame, DescriptorKind.COMPRESSED, dtype=np.int8))]
 
     if include_aux:
-        n_cam, n_spec = lay.n_camera, lay.n_special
-        if n_spec:
-            offs = np.arange(n_spec)
-            kinds = np.where(offs < n_cam, int(DescriptorKind.CAMERA),
-                             int(DescriptorKind.REGISTER)).astype(np.int8)
-            for f in range(t.frames):
-                parts.append(t.values[f, :n_spec].copy())
-                frames_p.append(np.full(n_spec, frame_offset + f, dtype=np.int32))
-                kinds_p.append(kinds)
-                coords_p.append(np.stack([offs.astype(np.int32),
-                                          np.full(n_spec, -1, np.int32)], axis=1))
-        n = lay.tokens_per_frame
+        special = np.repeat(np.array([DescriptorKind.CAMERA, DescriptorKind.REGISTER],
+                                     dtype=np.int8), [lay.n_camera, lay.n_register])
+        blocks.append((t.values[:, :lay.n_special].reshape(-1, c),
+                       np.repeat(np.arange(s, dtype=np.int32), lay.n_special),
+                       np.tile(special, s)))
         if include_first_frame:
-            parts.append(t.values[0].copy())
-            fr, kd, co = _verbatim_provenance(
-                frame_offset, np.arange(n), DescriptorKind.FIRST_FRAME_PATCH, n)
-            frames_p.append(fr); kinds_p.append(kd); coords_p.append(co)
+            blocks.append((t.values[0], np.zeros(n, dtype=np.int32),
+                           np.full(n, DescriptorKind.FIRST_FRAME_PATCH, dtype=np.int8)))
         if keyframes is None:
             keyframes = select_keyframes(t, sel or KeyframeSelector())
-        for f in np.asarray(keyframes, dtype=np.intp):
-            parts.append(t.values[f].copy())
-            fr, kd, co = _verbatim_provenance(
-                frame_offset + int(f), np.arange(n), DescriptorKind.KEYFRAME_PATCH, n)
-            frames_p.append(fr); kinds_p.append(kd); coords_p.append(co)
+        keyframes = np.asarray(keyframes, dtype=np.int32)
+        blocks.append((t.values[keyframes].reshape(-1, c), np.repeat(keyframes, n),
+                       np.full(keyframes.size * n, DescriptorKind.KEYFRAME_PATCH,
+                               dtype=np.int8)))
 
-    return DescriptorBundle(
-        np.concatenate(parts, axis=0),
-        np.concatenate(frames_p),
-        np.concatenate(kinds_p),
-        np.concatenate(coords_p, axis=0))
+    tokens, frames, kinds = zip(*blocks)
+    return DescriptorBundle(np.concatenate(tokens),
+                            np.concatenate(frames) + frame_offset,
+                            np.concatenate(kinds))

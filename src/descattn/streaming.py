@@ -48,7 +48,7 @@ class StreamConfig:
             raise ValueError(f"retain rate must be >= 1, got {self.retain_rate}")
         if self.base.global_mode != "descriptor":
             raise ValueError("streaming runs the descriptor global mode only")
-        if self.base.mask.mode != "none":
+        if self.base.mask.cuts:
             raise ValueError("streaming enforces causality by construction; "
                              "configure the base without a mask")
 

@@ -24,7 +24,7 @@ from .attention import (AttentionMask, attention_probabilities,
                         frame_attention, init_block_weights)
 from .compression import (COMPRESSION_KINDS, CompressionMethod, DescriptorKind,
                           KeyframeSelector, build_bundle, bundle_token_counts,
-                          compress_frame, lloyd)
+                          compress_frame, lloyd, topk_norm_indices)
 from .kernels import (half_pixel_centers, matmul, resample_bilinear, rng,
                       stable_softmax_rows)
 from .tokens import FrameLayout, TokenTensor, generate_synthetic
@@ -96,9 +96,8 @@ def check_matched_budget(seed: int) -> None:
         grid = gen.standard_normal((h, w, c)).astype(np.float32)
         budget = (h // ratio) * (w // ratio)
         for kind in COMPRESSION_KINDS:
-            tokens, coords = compress_frame(grid, CompressionMethod(kind, ratio))
+            tokens = compress_frame(grid, CompressionMethod(kind, ratio))
             assert tokens.shape == (budget, c), (kind, tokens.shape)
-            assert coords.shape == (budget, 2)
 
 
 def check_lloyd_objective(seed: int) -> None:
@@ -113,11 +112,12 @@ def check_topk_order(seed: int) -> None:
     gen = rng(seed)
     for side, c, ratio in ((4, 8, 2), (8, 4, 4)):
         grid = gen.standard_normal((side, side, c)).astype(np.float32)
-        tokens, coords = compress_frame(grid, CompressionMethod("topk_norm", ratio))
+        tokens = compress_frame(grid, CompressionMethod("topk_norm", ratio))
         budget = (side // ratio) ** 2
         assert tokens.shape == (budget, c), tokens.shape
-        flat_idx = coords[:, 0] * side + coords[:, 1]
-        assert np.all(np.diff(flat_idx) > 0), "top-k output must keep row-major order"
+        idx = topk_norm_indices(grid, budget)
+        assert np.all(np.diff(idx) > 0), "top-k output must keep row-major order"
+        assert np.array_equal(tokens, grid.reshape(-1, c)[idx])
         norms = np.linalg.norm(grid.reshape(-1, c), axis=1)
         cutoff = np.sort(norms)[-budget]
         assert np.all(np.linalg.norm(tokens, axis=1) >= cutoff - 1e-6)

@@ -1,8 +1,5 @@
 """Analytic FLOP/memory models and mode-divergence reports."""
 
-import numpy as np
-import pytest
-
 from descattn.aggregator import AggregatorConfig
 from descattn.analysis import (REFERENCE_RESOURCES, attention_core_reduction,
                                compare_modes, divergence, flops_attention,

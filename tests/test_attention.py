@@ -147,7 +147,7 @@ class TestMasks:
         frames, cuts = frames_and_cuts
         t = generate_synthetic(frames, DESK, 30)
         w = init_block_weights(31, 32, 4)
-        out = dense_global_attention(t, w, AttentionMask("block_causal", cuts))
+        out = dense_global_attention(t, w, AttentionMask(cuts))
         for a, e in zip((0, *cuts), (*cuts, frames)):
             prefix = dense_global_attention(TokenTensor(DESK, t.values[:e]), w)
             assert np.max(np.abs(out.values[a:e] - prefix.values[a:e])) <= 1e-6
@@ -168,9 +168,9 @@ class TestMasks:
 
     def test_bad_cuts_rejected(self):
         with pytest.raises(ValueError):
-            AttentionMask("block_causal", (3, 3))
+            AttentionMask((3, 3))
         with pytest.raises(ValueError):
-            AttentionMask("block_causal", (0,))
+            AttentionMask((0,))
 
     def test_fully_masked_row_warns_and_passes_residual(self):
         t = generate_synthetic(2, DESK, 9)

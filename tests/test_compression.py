@@ -37,34 +37,28 @@ class TestCompressFrame:
     @pytest.mark.parametrize("kind", ["bilinear", "nearest", "avgpool"])
     def test_ratio_one_is_identity(self, kind):
         grid = rng(1).standard_normal((5, 5, 4)).astype(np.float32)
-        tokens, _ = compress_frame(grid, CompressionMethod(kind, 1))
+        tokens = compress_frame(grid, CompressionMethod(kind, 1))
         assert np.array_equal(tokens, grid.reshape(-1, 4))
-
-    @pytest.mark.parametrize("kind", ["bilinear", "nearest", "avgpool",
-                                      "topk_norm", "learned_conv"])
-    def test_matched_budget(self, kind):
-        grid = rng(2).standard_normal((9, 7, 6)).astype(np.float32)
-        tokens, coords = compress_frame(grid, CompressionMethod(kind, 3))
-        assert tokens.shape == (3 * 2, 6)
-        assert coords.shape == (6, 2)
 
     def test_avgpool_constant(self):
         grid = np.full((8, 8, 3), 1.5, dtype=np.float32)
-        tokens, _ = compress_frame(grid, CompressionMethod("avgpool", 4))
+        tokens = compress_frame(grid, CompressionMethod("avgpool", 4))
         assert np.array_equal(tokens, np.full((4, 3), 1.5, dtype=np.float32))
 
     def test_avgpool_matches_cell_mean_oracle(self):
-        grid = rng(3).standard_normal((8, 8, 2)).astype(np.float32)
-        tokens, _ = compress_frame(grid, CompressionMethod("avgpool", 2))
-        expect = np.stack([grid[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-                          .astype(np.float64).mean(axis=(0, 1))
-                           for i in range(4) for j in range(4)])
-        np.testing.assert_allclose(tokens, expect.astype(np.float32), rtol=1e-6)
+        # the 9x7 grid drops its last row and column: every cell is whole
+        for h, w in ((8, 8), (9, 7)):
+            grid = rng(3).standard_normal((h, w, 2)).astype(np.float32)
+            tokens = compress_frame(grid, CompressionMethod("avgpool", 2))
+            expect = np.stack([grid[2 * i:2 * i + 2, 2 * j:2 * j + 2]
+                              .astype(np.float64).mean(axis=(0, 1))
+                               for i in range(h // 2) for j in range(w // 2)])
+            assert np.array_equal(tokens, expect.astype(np.float32)), (h, w)
 
     def test_avgpool_preserves_global_mean_on_divisible_grid(self):
         # integer tokens + power-of-two cells: both means are exact floats
         grid = rng(4).integers(-20, 20, size=(8, 8, 3)).astype(np.float64)
-        tokens, _ = compress_frame(grid, CompressionMethod("avgpool", 4))
+        tokens = compress_frame(grid, CompressionMethod("avgpool", 4))
         assert tokens.mean() == grid.mean()
 
     def test_topk_sort_by_norm_oracle(self):
@@ -81,18 +75,11 @@ class TestCompressFrame:
         grid = np.array([[[2.0], [1.0]], [[2.0], [2.0]]], dtype=np.float32)
         assert list(topk_norm_indices(grid, 2)) == [0, 2]
 
-    def test_topk_budget_matches_grid_methods(self):
-        grid = rng(5).standard_normal((8, 8, 4)).astype(np.float32)
-        tokens, coords = compress_frame(grid, CompressionMethod("topk_norm", 4))
-        assert tokens.shape == (4, 4)
-        flat_idx = coords[:, 0] * 8 + coords[:, 1]
-        assert np.all(np.diff(flat_idx) > 0)
-
     def test_learned_conv_deterministic_per_seed(self):
         grid = rng(6).standard_normal((8, 8, 4)).astype(np.float32)
-        a, _ = compress_frame(grid, CompressionMethod("learned_conv", 2, seed=9))
-        b, _ = compress_frame(grid, CompressionMethod("learned_conv", 2, seed=9))
-        c, _ = compress_frame(grid, CompressionMethod("learned_conv", 2, seed=10))
+        a = compress_frame(grid, CompressionMethod("learned_conv", 2, seed=9))
+        b = compress_frame(grid, CompressionMethod("learned_conv", 2, seed=9))
+        c = compress_frame(grid, CompressionMethod("learned_conv", 2, seed=10))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -215,7 +202,6 @@ class TestBuildBundle:
                          KeyframeSelector(interval=3), True)
         assert b.frames.shape == (b.count,)
         assert b.kinds.shape == (b.count,)
-        assert b.coords.shape == (b.count, 2)
 
     def test_verbatim_copies_are_uncompressed(self):
         t = generate_synthetic(3, DESK, 6)
@@ -223,6 +209,33 @@ class TestBuildBundle:
                          KeyframeSelector("fixed_stride", interval=2), True)
         cam = (b.kinds == int(DescriptorKind.CAMERA)) & (b.frames == 1)
         assert np.array_equal(b.descriptors[cam], t.values[1, :1])
+
+    @pytest.mark.parametrize("kind", ["nearest", "topk_norm"])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_matches_per_frame_assembly(self, kind, first):
+        # reference: the bundle appended one frame at a time, block by block
+        lay = FrameLayout(h=9, w=7, n_camera=2, n_register=1, channels=6)
+        t = generate_synthetic(5, lay, 8, dtype=np.float64)
+        method, offset, keys = CompressionMethod(kind, 2), 13, np.array([1, 4])
+        parts = []
+        for f in range(5):
+            grid = t.values[f, 3:].reshape(9, 7, 6)
+            parts.append((compress_frame(grid, method), f, [DescriptorKind.COMPRESSED] * 12))
+        for f in range(5):
+            parts.append((t.values[f, :3], f, [DescriptorKind.CAMERA] * 2
+                          + [DescriptorKind.REGISTER]))
+        if first:
+            parts.append((t.values[0], 0, [DescriptorKind.FIRST_FRAME_PATCH] * 66))
+        for f in keys:
+            parts.append((t.values[f], f, [DescriptorKind.KEYFRAME_PATCH] * 66))
+        b = build_bundle(t, method, keyframes=keys, include_first_frame=first,
+                         frame_offset=offset)
+        assert np.array_equal(b.descriptors, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(b.frames, np.concatenate(
+            [np.full(len(p[0]), p[1] + offset) for p in parts]))
+        assert np.array_equal(b.kinds, np.concatenate([p[2] for p in parts]))
+        assert (b.descriptors.dtype, b.frames.dtype, b.kinds.dtype) == (
+            np.float64, np.int32, np.int8)
 
     def test_frame_offset_shifts_provenance(self):
         t = generate_synthetic(2, DESK, 7)
