@@ -10,7 +10,12 @@ auxiliaries the two are the same computation.
 One private score path (LN1, the Q/K projections, the per-head scaled scores,
 the mask and the row softmax) serves the forward of every kernel, the
 diagnostic ``attention_probabilities`` and the score histogram, so all three
-see the same probabilities bit for bit.
+see the same probabilities bit for bit.  It works on a leading batch axis:
+frame attention is one call with the frames as the batch, and the global
+kernels are one call with a batch of one.  The norms, projections and MLP run
+on the stacked rows.  Each call holds one (B, Q, K) float64 score workspace
+that every head in turn fills and softmaxes in place, so a yielded probability
+array is valid only until the next head.
 
 A mask's cuts split the frames into blocks, and a query sees only the keys
 whose provenance frame does not lie past its own block.  With cuts, the mask
@@ -132,11 +137,11 @@ class AttentionMask:
         ends = np.append(cuts - 1, np.iinfo(np.int64).max)
         return ends[idx]
 
-    def visible(self, query_frames: np.ndarray, key_frames: np.ndarray) -> np.ndarray | None:
-        """Boolean (Q, K) visibility: True where a query may attend to a key,
-        None when the mask hides nothing."""
-        if not self.cuts:
-            return None
+    def visible(self, query_frames: np.ndarray, key_frames: np.ndarray) -> np.ndarray:
+        """Boolean (Q, K) visibility: True where a query may attend to a key.
+
+        The kernels ask only when there are cuts, since without them every
+        key is visible."""
         key_frames = np.asarray(key_frames, dtype=np.int64)
         if key_frames.size and key_frames.min() < 0:
             raise ValueError("mask boundaries inconsistent with provenance: "
@@ -144,19 +149,26 @@ class AttentionMask:
         return key_frames[None, :] <= self.block_end(query_frames)[:, None]
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """The (rows, C) view of a (B, rows per batch item, C) array."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
             visible: np.ndarray | None):
     """The one attention score path, up to the post-softmax probabilities.
 
-    Runs LN1 and the Q/K projections, then returns the normed key/value rows
-    (for the caller's V projection) and an iterator that yields each head's
-    (channel slice, (Q, K) float64 probabilities) in turn, so that only one
-    head's scores are materialized at a time.
+    ``x_q`` is (B, Q, C) and ``kv`` is (B, K, C): batch item b's queries see
+    only batch item b's keys.  Runs LN1 and the Q/K projections on the stacked
+    rows, then returns the normed (B * K, C) key/value rows (for the caller's
+    V projection) and an iterator that yields each head's (channel slice,
+    (B, Q, K) float64 probabilities) in turn.  Every head writes into the same
+    workspace, so a yielded array is valid only until the next head.
     """
-    q_in = layer_norm(x_q, w.ln1_gamma, w.ln1_beta)
-    kv_in = q_in if kv is x_q else layer_norm(kv, w.ln1_gamma, w.ln1_beta)
-    q = matmul(q_in, w.wq)
-    k = matmul(kv_in, w.wk)
+    q_in = layer_norm(_rows(x_q), w.ln1_gamma, w.ln1_beta)
+    kv_in = q_in if kv is x_q else layer_norm(_rows(kv), w.ln1_gamma, w.ln1_beta)
+    q = matmul(q_in, w.wq).astype(np.float64).reshape(x_q.shape)
+    k = matmul(kv_in, w.wk).astype(np.float64).reshape(kv.shape)
     if visible is not None:
         dead = ~visible.any(axis=1)
         if dead.any():
@@ -167,29 +179,34 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
 
 def _head_probabilities(q: np.ndarray, k: np.ndarray, heads: int,
                         visible: np.ndarray | None):
-    d = q.shape[1] // heads
+    d = q.shape[-1] // heads
     inv_sqrt_d = 1.0 / np.sqrt(d)
-    for lo in range(0, q.shape[1], d):
+    hidden = None if visible is None else ~visible
+    scores = np.empty(q.shape[:-1] + k.shape[-2:-1])
+    for lo in range(0, q.shape[-1], d):
         cols = slice(lo, lo + d)
-        scores = (q[:, cols].astype(np.float64)
-                  @ k[:, cols].astype(np.float64).T) * inv_sqrt_d
-        if visible is not None:
-            scores[~visible] = -np.inf
-        yield cols, stable_softmax_rows(scores)
+        np.matmul(q[..., cols], k[..., cols].swapaxes(-1, -2), out=scores)
+        scores *= inv_sqrt_d
+        if hidden is not None:
+            np.copyto(scores, -np.inf, where=hidden)
+        yield cols, stable_softmax_rows(scores, out=scores)
 
 
 def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
                      visible: np.ndarray | None) -> np.ndarray:
-    """One full pre-norm block; queries from x_q, keys/values from kv."""
+    """One full pre-norm block over a batch; queries from x_q (B, Q, C),
+    keys/values from kv (B, K, C)."""
     kv_in, heads = _scores(x_q, kv, w, visible)
-    v = matmul(kv_in, w.wv)
-    ctx = np.empty((x_q.shape[0], w.channels), dtype=np.float64)
+    v = matmul(kv_in, w.wv).astype(np.float64).reshape(kv.shape)
+    ctx = np.empty(x_q.shape, dtype=np.float64)
     for cols, probs in heads:
-        ctx[:, cols] = probs @ v[:, cols].astype(np.float64)
+        ctx[..., cols] = probs @ v[..., cols]
+    del probs  # the score workspace, freed before the MLP's temporaries
 
-    attn = matmul(ctx.astype(x_q.dtype), w.wo)
-    y = x_q + attn
-    return y + mlp(layer_norm(y, w.ln2_gamma, w.ln2_beta), w.w1, w.b1, w.w2, w.b2)
+    x = _rows(x_q)
+    y = x + matmul(_rows(ctx).astype(x.dtype), w.wo)
+    out = y + mlp(layer_norm(y, w.ln2_gamma, w.ln2_beta), w.w1, w.b1, w.w2, w.b2)
+    return out.reshape(x_q.shape)
 
 
 def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights) -> np.ndarray:
@@ -198,20 +215,17 @@ def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights) ->
 
     Diagnostic path: materializes every head, so keep inputs desk-scale.
     """
-    _, heads = _scores(x_q, kv, w, None)
-    return np.stack([probs for _, probs in heads])
+    _, heads = _scores(x_q[None], kv[None], w, None)
+    # each head is copied out before the next one overwrites the workspace
+    return np.stack([probs[0].copy() for _, probs in heads])
 
 
 def frame_attention(t: TokenTensor, w: BlockWeights) -> TokenTensor:
     """Self-attention within each frame independently; frames never interact."""
     if w.channels != t.channels:
         raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
-    out = np.empty_like(t.values)
-    for f in range(t.frames):
-        # one view for both roles, so the score path runs LN1 once per frame
-        x = t.values[f]
-        out[f] = _attention_block(x, x, w, None)
-    return t.with_values(out)
+    # frames are the batch axis; one array for both roles, so LN1 runs once
+    return t.with_values(_attention_block(t.values, t.values, w, None))
 
 
 def dense_global_attention(t: TokenTensor, w: BlockWeights,
@@ -222,9 +236,9 @@ def dense_global_attention(t: TokenTensor, w: BlockWeights,
     """
     if w.channels != t.channels:
         raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
-    flat = t.flat()
+    flat = t.flat()[None]
     visible = None
-    if mask is not None:
+    if mask is not None and mask.cuts:
         frames = t.token_frames()
         visible = mask.visible(frames, frames)
     out = _attention_block(flat, flat, w, visible)
@@ -243,9 +257,9 @@ def descriptor_attention(t: TokenTensor, bundle: DescriptorBundle, w: BlockWeigh
     if w.channels != t.channels:
         raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
     visible = None
-    if mask is not None:
+    if mask is not None and mask.cuts:
         visible = mask.visible(t.token_frames(), bundle.frames)
-    out = _attention_block(t.flat(), bundle.descriptors, w, visible)
+    out = _attention_block(t.flat()[None], bundle.descriptors[None], w, visible)
     return t.with_values(out.reshape(t.values.shape))
 
 
@@ -262,8 +276,8 @@ def attention_score_histogram(t: TokenTensor, w: BlockWeights, mode: str
         raise ValueError(f"histogram mode must be 'frame' or 'global', got {mode!r}")
     edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
-    for x in (t.values if mode == "frame" else [t.flat()]):
-        _, heads = _scores(x, x, w, None)
-        for _, probs in heads:
-            counts += np.histogram(probs, bins=edges)[0]
+    x = t.values if mode == "frame" else t.flat()[None]
+    _, heads = _scores(x, x, w, None)
+    for _, probs in heads:
+        counts += np.histogram(probs, bins=edges)[0]
     return counts, edges

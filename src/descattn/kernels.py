@@ -50,21 +50,28 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(out_dtype)
 
 
-def stable_softmax_rows(m: np.ndarray) -> np.ndarray:
+def stable_softmax_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax, shifted by the row max so huge logits cannot overflow.
 
     Works along the last axis of any array.  ``-inf`` entries are treated as
     excluded (zero weight); a row that is entirely ``-inf`` comes back as all
     zeros, which callers that use masking must detect themselves.
+
+    The shift, exponential and normalisation run in float64 inside ``out``, a
+    float64 array of ``m``'s shape that may be ``m`` itself; without ``out`` a
+    fresh array is used and ``m`` is left unchanged.  The result comes back in
+    ``m``'s dtype, as ``out`` itself when that dtype is float64.
     """
-    x = np.asarray(m, dtype=np.float64)
+    m = np.asarray(m)
+    x = m.astype(np.float64, copy=False)
     rowmax = np.max(x, axis=-1, keepdims=True)
     rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    e = np.exp(x - rowmax)
-    denom = np.sum(e, axis=-1, keepdims=True)
+    out = np.subtract(x, rowmax, out=out)
+    np.exp(out, out=out)
+    denom = np.sum(out, axis=-1, keepdims=True)
     denom = np.where(denom > 0.0, denom, 1.0)
-    out = e / denom
-    return out.astype(np.asarray(m).dtype)
+    out /= denom
+    return out.astype(m.dtype, copy=False)
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,

@@ -89,6 +89,25 @@ class TestSoftmax:
         p = stable_softmax_rows(np.array([[-np.inf, -np.inf]]))
         assert np.array_equal(p, [[0.0, 0.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_is_bitwise(self, dtype):
+        gen = rng(8)
+        m = (gen.standard_normal((3, 5, 40)) * 30).astype(dtype)
+        m[gen.random(m.shape) < 0.25] = -np.inf
+        m[1, 2] = -np.inf
+        m[2, :] = -np.inf
+        before = m.copy()
+        expect = stable_softmax_rows(m)
+        assert np.array_equal(m, before)  # without out=, the input is untouched
+        assert expect.dtype == dtype and np.all(expect[2] == 0.0)
+        # the float64 workspace the attention path hands in as both m and out
+        work = m.astype(np.float64)
+        got = stable_softmax_rows(work, out=work)
+        assert got is work
+        assert np.array_equal(got.astype(dtype), expect)
+        # a separate float64 out for a float32 input returns the input dtype
+        assert np.array_equal(stable_softmax_rows(m, out=np.empty(m.shape)), expect)
+
 
 class TestLayerNorm:
     def test_constant_row_maps_to_beta(self):
