@@ -30,17 +30,16 @@ print(f"streamed S={tokens.frames} frames in chunks of {cfg.chunk_size}, "
 print(f"\nper-layer cache: {report.layers[0].total_tokens} tokens "
       f"({report.layers[0].compressed_tokens} compressed + "
       f"{report.layers[0].aux_tokens} anchor)")
-print(f"closed-form model says:  {model.per_layer_cache_tokens} tokens  "
-      f"-> live run and model agree: "
-      f"{report.layers[0].total_tokens == model.per_layer_cache_tokens}")
+print(f"closed-form model says:  {model.layers[0].total_tokens} tokens  "
+      f"-> live record == model record: {report == model}")
 print(f"full-token baseline would hold {report.full_token_baseline} tokens; "
       f"ratio = {report.ratio_vs_full:.4f} "
-      f"(drop limit 1/(p*r^2) = {model.drop_ratio_limit:.4f})")
+      f"(drop limit 1/(p*r^2) = {cfg.drop_ratio_limit:.4f})")
 
 print("\n-- cache growth is sublinear in the frame count --")
 for frames in (10, 20, 40, 80):
     m = d.memory_model(cfg, frames)
-    print(f"  S={frames:>3}: cache {m.per_layer_cache_tokens:>4} tokens/layer "
+    print(f"  S={frames:>3}: cache {m.layers[0].total_tokens:>4} tokens/layer "
           f"vs {frames * layout.tokens_per_frame:>5} full tokens")
 
 print("\n-- causality: the future cannot touch the past --")

@@ -40,7 +40,7 @@ scfg = d.StreamConfig(base=cfg, chunk_size=10, retain_rate=5)
 print(f"  {'S':>5} {'cache tokens/layer':>19} {'ratio vs full':>14}")
 for frames in (200, 500, 1000, 3000):
     m = d.memory_model(scfg, frames)
-    print(f"  {frames:>5} {m.per_layer_cache_tokens:>19} {m.ratio_vs_full:>13.4f}")
+    print(f"  {frames:>5} {m.layers[0].total_tokens:>19} {m.ratio_vs_full:>13.4f}")
 
 print("\n-- published resource table for the surrounding pipeline --\n")
 print(markdown_resource_table({"Time (s)": REFERENCE_RESOURCES["time_s"],

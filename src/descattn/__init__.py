@@ -11,7 +11,7 @@ models make the reductions auditable.
 """
 
 from .aggregator import AggregatorConfig, LayerWeights, forward_offline, init_weights
-from .analysis import (ErrorReport, FlopReport, MemoryModel, attention_core_reduction,
+from .analysis import (ErrorReport, FlopReport, attention_core_reduction,
                        compare_modes, divergence, flops_attention, memory_model,
                        reference_end_to_end_reduction)
 from .attention import (AttentionMask, BlockWeights, attention_probabilities,
@@ -33,7 +33,7 @@ __all__ = [
     "AggregatorConfig", "AttentionMask", "BlockWeights", "CacheReport",
     "CompressionMethod", "DescriptorBundle", "DescriptorKind", "ErrorReport",
     "FlopReport", "FrameLayout", "KeyframeSelector", "LayerWeights",
-    "MemoryCache", "MemoryModel", "StreamConfig", "TokenTensor",
+    "MemoryCache", "StreamConfig", "TokenTensor",
     "attention_core_reduction", "attention_probabilities",
     "attention_score_histogram", "build_bundle", "bundle_token_counts",
     "cache_report", "compare_modes", "compress_frame",

@@ -16,26 +16,28 @@ FLOP conventions, fixed so the headline ratios are exact and auditable:
   (r*r FLOPs), top-k pays the norm scan, the learned compressor pays its
   depth-wise kernel plus the point-wise channel mix.
 
-The memory model mirrors the streaming cache bookkeeping exactly, so live
-runs and closed forms can be cross-checked token for token.  A published
-end-to-end measurement table for the production-scale pipeline these blocks
-come from is bundled for side-by-side reporting; its ~15.8x FLOP reduction at
-1000 frames exceeds the attention-core bound K/K_d (~14.6x at that
-configuration), which shared non-core work could only dilute, so the
+The memory model predicts the streaming cache in closed form and returns the
+``streaming.CacheReport`` that ``cache_report`` reads from a live cache, so a
+live run and the model compare as one record with ``==``.  The model counts
+bytes as tokens * C * itemsize; the live reading measures the stored arrays.
+
+A published end-to-end measurement table for the production-scale pipeline
+these blocks come from is bundled for side-by-side reporting; its ~15.8x FLOP
+reduction at 1000 frames exceeds the attention-core bound K/K_d (~14.6x at
+that configuration), which shared non-core work could only dilute, so the
 published figure follows a different counting convention.  We report both and
 do not reconcile them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregator import AggregatorConfig, forward_offline, init_weights
 from .compression import bundle_token_counts
-from .streaming import StreamConfig
+from .streaming import CacheReport, StreamConfig
 from .tokens import TokenTensor
 
 # Published wall-time (s), PFLOPs, and peak memory (GB) of the full
@@ -165,52 +167,18 @@ def attention_core_reduction(cfg: AggregatorConfig, frames: int
     return dense.attention_core / desc.attention_core, dense.k_tokens, desc.kd_tokens
 
 
-@dataclass(frozen=True)
-class MemoryModel:
-    """Closed-form token/byte counts for streaming cache and offline activations."""
-
-    frames: int
-    layers: int
-    per_layer_cache_tokens: int
-    per_layer_compressed_tokens: int
-    per_layer_aux_tokens: int
-    cache_total_tokens: int
-    cache_bytes: int
-    full_token_cache_tokens: int
-    full_token_cache_bytes: int
-    offline_activation_tokens: int
-    offline_activation_bytes: int
-    ratio_vs_full: float
-    drop_ratio_limit: float
-
-
-def memory_model(cfg: StreamConfig, frames: int) -> MemoryModel:
-    """Predict the streaming cache exactly and compare against caching every
-    full-resolution token at every layer (the O(K*L) baseline); the drop
-    limit 1 / (p * r^2) is the asymptote for pure patch grids."""
+def memory_model(cfg: StreamConfig, frames: int) -> CacheReport:
+    """Predict the streaming cache after ``frames`` frames in closed form, as
+    the same record ``cache_report`` reads from a live cache: per layer,
+    ceil(S / p) frames of compressed descriptors plus, once a frame has been
+    seen with anchors on, the verbatim first frame."""
     base = cfg.base
     lay = base.layout
-    per_frame = base.method.tokens_per_frame(lay)
-    compressed = math.ceil(frames / cfg.retain_rate) * per_frame
-    aux = lay.tokens_per_frame if base.include_aux else 0
-    per_layer = compressed + aux
-    k = frames * lay.tokens_per_frame
-    width = np.dtype(base.dtype).itemsize
-    cache_total = per_layer * base.layers
-    full_total = k * base.layers
-    return MemoryModel(
-        frames=frames, layers=base.layers,
-        per_layer_cache_tokens=per_layer,
-        per_layer_compressed_tokens=compressed,
-        per_layer_aux_tokens=aux,
-        cache_total_tokens=cache_total,
-        cache_bytes=cache_total * lay.channels * width,
-        full_token_cache_tokens=full_total,
-        full_token_cache_bytes=full_total * lay.channels * width,
-        offline_activation_tokens=k,
-        offline_activation_bytes=k * lay.channels * width,
-        ratio_vs_full=cache_total / full_total,
-        drop_ratio_limit=1.0 / (cfg.retain_rate * base.method.ratio ** 2))
+    compressed = -(-frames // cfg.retain_rate) * base.method.tokens_per_frame(lay)
+    aux = lay.tokens_per_frame if base.include_aux and frames else 0
+    nbytes = (compressed + aux) * lay.channels * np.dtype(base.dtype).itemsize
+    return CacheReport.tally(frames, lay.tokens_per_frame,
+                             [(compressed, aux, nbytes)] * base.layers)
 
 
 @dataclass(frozen=True)

@@ -98,16 +98,14 @@ class BundleCounts(NamedTuple):
 
 
 def bundle_token_counts(frames: int, layout: FrameLayout, method: CompressionMethod,
-                        interval: int, include_aux: bool,
-                        include_first_frame: bool = True) -> BundleCounts:
+                        interval: int, include_aux: bool) -> BundleCounts:
     compressed = frames * method.tokens_per_frame(layout)
     if not include_aux:
         return BundleCounts(compressed, 0, 0, 0)
     n = layout.tokens_per_frame
     special = frames * layout.n_special
-    first = n if include_first_frame else 0
     key = math.ceil(frames / interval) * n
-    return BundleCounts(compressed, special, first, key)
+    return BundleCounts(compressed, special, n, key)
 
 
 def topk_norm_indices(tokens: np.ndarray, budget: int) -> np.ndarray:

@@ -52,6 +52,12 @@ class StreamConfig:
             raise ValueError("streaming enforces causality by construction; "
                              "configure the base without a mask")
 
+    @property
+    def drop_ratio_limit(self) -> float:
+        """1 / (p * r^2): the cache-to-full-token ratio that pure patch grids
+        approach as the stream grows."""
+        return 1.0 / (self.retain_rate * self.base.method.ratio ** 2)
+
 
 @dataclass(frozen=True)
 class MemoryCache:
@@ -71,14 +77,6 @@ class MemoryCache:
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-    def token_counts(self) -> list[tuple[int, int, int]]:
-        """Per layer: (total, compressed, auxiliary) token counts."""
-        out = []
-        for store in self.layers:
-            comp = int(np.count_nonzero(store.kinds == int(DescriptorKind.COMPRESSED)))
-            out.append((store.count, comp, store.count - comp))
-        return out
 
 
 def _retained_subset(bundle: DescriptorBundle, retain_rate: int,
@@ -170,7 +168,12 @@ class LayerCacheStats:
 @dataclass(frozen=True)
 class CacheReport:
     """Cache occupancy vs. the full-token baseline that caches all K tokens
-    at every global block (K * L tokens overall)."""
+    at every global block (K * L tokens overall).
+
+    A live cache (``cache_report``) and the closed form
+    (``analysis.memory_model``) both build this record with ``tally``, so the
+    two readings compare with ``==``.
+    """
 
     layers: tuple[LayerCacheStats, ...]
     frames_seen: int
@@ -178,6 +181,22 @@ class CacheReport:
     total_tokens: int
     total_bytes: int
     ratio_vs_full: float
+
+    @classmethod
+    def tally(cls, frames_seen: int, tokens_per_frame: int,
+              per_layer: list[tuple[int, int, int]]) -> "CacheReport":
+        """Build the record from one (compressed, aux, bytes) triple per layer;
+        every ratio is 0 when no frame has been seen."""
+        k = frames_seen * tokens_per_frame
+        stats = tuple(LayerCacheStats(i, comp + aux, comp, aux, nbytes,
+                                      (comp + aux) / k if k else 0.0)
+                      for i, (comp, aux, nbytes) in enumerate(per_layer))
+        total = sum(s.total_tokens for s in stats)
+        baseline = k * len(stats)
+        return cls(layers=stats, frames_seen=frames_seen,
+                   full_token_baseline=baseline, total_tokens=total,
+                   total_bytes=sum(s.bytes for s in stats),
+                   ratio_vs_full=total / baseline if baseline else 0.0)
 
     def csv_rows(self) -> list[list]:
         rows = [list(CACHE_CSV_COLUMNS)]
@@ -193,23 +212,10 @@ class CacheReport:
 
 
 def cache_report(cache: MemoryCache) -> CacheReport:
-    """Summarize per-layer token counts, a byte estimate, and the reduction
-    ratio against caching every full-resolution token at every layer."""
-    n = cache.layout.tokens_per_frame
-    k_total = cache.frames_seen * n
-    width = cache.layers[0].descriptors.dtype.itemsize if cache.depth else 4
-    channels = cache.layout.channels
-    stats = []
-    total = 0
-    total_bytes = 0
-    for i, (tok, comp, aux) in enumerate(cache.token_counts()):
-        nbytes_ = tok * channels * width
-        ratio = tok / k_total if k_total else 0.0
-        stats.append(LayerCacheStats(i, tok, comp, aux, nbytes_, ratio))
-        total += tok
-        total_bytes += nbytes_
-    baseline = k_total * cache.depth
-    return CacheReport(layers=tuple(stats), frames_seen=cache.frames_seen,
-                       full_token_baseline=baseline, total_tokens=total,
-                       total_bytes=total_bytes,
-                       ratio_vs_full=total / baseline if baseline else 0.0)
+    """Read the live cache: tokens counted by kind, bytes measured from the
+    stored descriptor arrays."""
+    per_layer = []
+    for store in cache.layers:
+        comp = int(np.count_nonzero(store.kinds == int(DescriptorKind.COMPRESSED)))
+        per_layer.append((comp, store.count - comp, store.descriptors.nbytes))
+    return CacheReport.tally(cache.frames_seen, cache.layout.tokens_per_frame, per_layer)

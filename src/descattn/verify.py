@@ -230,8 +230,9 @@ def check_memory_law(seed: int) -> None:
     _, cache = streaming.run_stream(t, cfg, return_cache=True)
     per_frame = cfg.base.method.tokens_per_frame(_DESK)
     expect = ((t.frames - 1) // cfg.retain_rate + 1) * per_frame
-    for total, comp, aux in cache.token_counts():
-        assert comp == expect and aux == 0 and total == expect
+    for layer in streaming.cache_report(cache).layers:
+        assert (layer.total_tokens, layer.compressed_tokens, layer.aux_tokens) \
+            == (expect, expect, 0)
 
 
 def check_sublinear_growth(seed: int) -> None:
@@ -242,8 +243,8 @@ def check_sublinear_growth(seed: int) -> None:
         _, cache = streaming.run_stream(t, cfg, return_cache=True)
         per_frame = cfg.base.method.tokens_per_frame(_DESK)
         bound = (t.frames / cfg.retain_rate + 1) * per_frame + _DESK.tokens_per_frame
-        for total, _, _ in cache.token_counts():
-            assert total <= bound, (frames, total, bound)
+        for layer in streaming.cache_report(cache).layers:
+            assert layer.total_tokens <= bound, (frames, layer.total_tokens, bound)
 
 
 def check_full_chunk_matches_offline(seed: int) -> None:
@@ -266,17 +267,13 @@ def check_core_ratio(seed: int) -> None:
 
 
 def check_memory_model_matches_live(seed: int) -> None:
-    cfg = streaming.StreamConfig(base=_desc_cfg(seed=seed, include_aux=False,
-                                                method=CompressionMethod("bilinear", 2)),
-                                 chunk_size=5, retain_rate=5)
-    t = generate_synthetic(20, _DESK, seed)
-    _, cache = streaming.run_stream(t, cfg, return_cache=True)
-    model = analysis.memory_model(cfg, t.frames)
-    report = streaming.cache_report(cache)
-    for layer in report.layers:
-        assert layer.total_tokens == model.per_layer_cache_tokens
-    assert report.total_tokens == model.cache_total_tokens
-    assert report.total_bytes == model.cache_bytes
+    for dtype in (np.float32, np.float64):
+        base = _desc_cfg(seed=seed, include_aux=False, dtype=dtype,
+                         method=CompressionMethod("bilinear", 2))
+        cfg = streaming.StreamConfig(base=base, chunk_size=5, retain_rate=5)
+        t = generate_synthetic(20, _DESK, seed, dtype=dtype)
+        _, cache = streaming.run_stream(t, cfg, return_cache=True)
+        assert analysis.memory_model(cfg, t.frames) == streaming.cache_report(cache), dtype
 
 
 def check_cache_chunk_invariant(seed: int) -> None:
@@ -290,8 +287,7 @@ def check_cache_chunk_invariant(seed: int) -> None:
         cfg = streaming.StreamConfig(base=_desc_cfg(seed=seed), chunk_size=chunk,
                                      retain_rate=3)
         _, cache = streaming.run_stream(t, cfg, return_cache=True)
-        per_layer = analysis.memory_model(cfg, t.frames).per_layer_cache_tokens
-        assert [total for total, _, _ in cache.token_counts()] == [per_layer] * cfg.base.layers
+        assert streaming.cache_report(cache) == analysis.memory_model(cfg, t.frames), chunk
         stores.append(cache.layers[0])
     for store in stores[1:]:
         for name in ("descriptors", "frames", "kinds"):

@@ -81,8 +81,9 @@ def test_criterion_2_complexity_claim():
 
 
 def test_criterion_3_memory_claim():
-    """Live streaming cache counts equal the closed form exactly; the
-    reduction ratio hits 1/(p*r^2) on divisible pure patch grids."""
+    """The live streaming cache record (counts, bytes, ratios) equals the
+    closed form exactly; the reduction ratio hits 1/(p*r^2) on divisible pure
+    patch grids."""
     lay = d.FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=8)
     checked = 0
     for frames in (10, 20, 50):
@@ -96,10 +97,11 @@ def test_criterion_3_memory_claim():
                 t = d.generate_synthetic(frames, lay, frames + p + r)
                 _, cache = d.run_stream(t, cfg, return_cache=True)
                 model = d.memory_model(cfg, frames)
-                for total, comp, aux in cache.token_counts():
-                    assert total == model.per_layer_cache_tokens, (frames, p, r)
-                    assert comp == math.ceil(frames / p) * base.method.tokens_per_frame(lay)
-                    assert aux == 0
+                assert model == d.cache_report(cache), (frames, p, r)
+                for layer in model.layers:
+                    assert layer.compressed_tokens == \
+                        math.ceil(frames / p) * base.method.tokens_per_frame(lay)
+                    assert layer.aux_tokens == 0
                 checked += 1
     assert checked == 27
 
@@ -118,7 +120,7 @@ def test_criterion_3_memory_claim():
             limit = 1.0 / (p * r * r)
             assert abs(live - limit) / limit <= 0.05, (p, r, live, limit)
             ratios.append((p, r, live))
-    print(f"\nPASS criterion 3: 27 live cache counts match the closed form; "
+    print(f"\nPASS criterion 3: 27 live cache records equal the closed form; "
           f"ratio hits 1/(p*r^2) within 5% at S=50 ({len(ratios)} combos)")
 
 

@@ -1,12 +1,14 @@
 """Analytic FLOP/memory models and mode-divergence reports."""
 
+import pytest
+
 from descattn.aggregator import AggregatorConfig
 from descattn.analysis import (REFERENCE_RESOURCES, attention_core_reduction,
                                compare_modes, divergence, flops_attention,
                                markdown_resource_table, memory_model,
                                reference_end_to_end_reduction)
 from descattn.compression import CompressionMethod, KeyframeSelector
-from descattn.streaming import StreamConfig, cache_report, run_stream
+from descattn.streaming import MemoryCache, StreamConfig, cache_report, run_stream
 from descattn.tokens import FrameLayout, generate_synthetic, image_grid_layout
 from descattn.verify import check_cache_chunk_invariant
 
@@ -105,41 +107,41 @@ class TestMemoryModel:
         cfg = StreamConfig(base=base, chunk_size=4, retain_rate=1)
         model = memory_model(cfg, 12)
         assert model.ratio_vs_full == 1.0
-        assert model.drop_ratio_limit == 1.0
+        assert cfg.drop_ratio_limit == 1.0
 
     def test_drop_ratio_limit_formula(self):
         base = cfg_with(ratio=4, include_aux=False)
         cfg = StreamConfig(base=base, chunk_size=10, retain_rate=5)
-        assert memory_model(cfg, 100).drop_ratio_limit == 1.0 / 80.0
+        assert cfg.drop_ratio_limit == 1.0 / 80.0
 
     def test_matches_live_cache_exactly(self):
         base = cfg_with(ratio=4, include_aux=False, layers=2, seed=1)
         cfg = StreamConfig(base=base, chunk_size=5, retain_rate=5)
         t = generate_synthetic(20, DESK, 2)
         _, cache = run_stream(t, cfg, return_cache=True)
-        live = cache_report(cache)
-        model = memory_model(cfg, 20)
-        for layer in live.layers:
-            assert layer.total_tokens == model.per_layer_cache_tokens
-        assert live.total_tokens == model.cache_total_tokens
-        assert live.total_bytes == model.cache_bytes
+        assert memory_model(cfg, 20) == cache_report(cache)
 
     def test_matches_live_cache_with_persisted_first_frame(self):
         base = cfg_with(ratio=4, include_aux=True, layers=2, seed=3)
         cfg = StreamConfig(base=base, chunk_size=5, retain_rate=5)
         t = generate_synthetic(10, DESK, 4)
         _, cache = run_stream(t, cfg, return_cache=True)
-        live = cache_report(cache)
         model = memory_model(cfg, 10)
-        assert model.per_layer_aux_tokens == DESK.tokens_per_frame
-        for layer in live.layers:
-            assert layer.total_tokens == model.per_layer_cache_tokens
+        assert [layer.aux_tokens for layer in model.layers] == [DESK.tokens_per_frame] * 2
+        assert model == cache_report(cache)
+
+    @pytest.mark.parametrize("include_aux", [True, False], ids=["aux", "no_aux"])
+    def test_no_frames_matches_empty_cache(self, include_aux):
+        cfg = StreamConfig(base=cfg_with(include_aux=include_aux))
+        model = memory_model(cfg, 0)
+        assert model == cache_report(MemoryCache.empty(cfg))
+        assert model.total_tokens == 0 and model.ratio_vs_full == 0.0
 
     def test_exact_asymptote_on_divisible_patch_grid(self):
         base = cfg_with(layout=PATCH_ONLY, ratio=4, include_aux=False)
         cfg = StreamConfig(base=base, chunk_size=10, retain_rate=5)
         model = memory_model(cfg, 50)
-        assert model.ratio_vs_full == model.drop_ratio_limit
+        assert model.ratio_vs_full == cfg.drop_ratio_limit
 
 
 class TestCompareModes:

@@ -143,6 +143,19 @@ class TestStreamAndHistogram:
         assert len(rows) == 1  # one layer
         assert "ratio_vs_full" in capsys.readouterr().out
 
+    def test_stream_output_is_pinned(self, tmp_path, capsys):
+        # S=6, p=2, 4x4 grid at r=2, anchors on: frames 0, 2 and 4 keep
+        # 4 descriptors each, plus the 21 verbatim first-frame tokens
+        code = main(["stream", "--frames", "6", "--chunk", "2", "--retain", "2",
+                     *TINY[2:], "--aux", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert (tmp_path / "cache_report.csv").read_bytes() == (
+            b"layer,total_tokens,compressed_tokens,aux_tokens,bytes,"
+            b"ratio_vs_full_token_cache\r\n"
+            b"0,33,12,21,2112,0.26190476\r\n")
+        assert capsys.readouterr().out == \
+            "frames=6 cache_tokens=33 ratio_vs_full=0.261905\n"
+
     def test_histogram_files(self, tmp_path):
         code = main(["histogram", *TINY, "--out", str(tmp_path)])
         assert code == EXIT_OK

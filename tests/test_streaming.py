@@ -134,33 +134,35 @@ class TestMemoryLaw:
         _, cache = run_stream(t, cfg, return_cache=True)
         per_frame = base.method.tokens_per_frame(DESK)
         expect = ((frames - 1) // p + 1) * per_frame
-        for total, comp, aux in cache.token_counts():
-            assert (total, comp, aux) == (expect, expect, 0)
+        for layer in cache_report(cache).layers:
+            assert (layer.total_tokens, layer.compressed_tokens, layer.aux_tokens) \
+                == (expect, expect, 0)
 
     @settings(max_examples=25, deadline=None)
-    @given(stream_cases())
-    @example((7, 4, 1, 4, "bilinear", False, 2, 4))
-    @example((7, 4, 2, 4, "bilinear", False, 2, 4))
-    @example((12, 4, 5, 4, "bilinear", False, 2, 8))
-    @example((20, 4, 5, 4, "bilinear", False, 2, 12))
-    def test_law_causality_and_full_chunk(self, case):
+    @given(stream_cases(), st.sampled_from((np.float32, np.float64)))
+    @example((7, 4, 1, 4, "bilinear", False, 2, 4), np.float32)
+    @example((7, 4, 2, 4, "bilinear", False, 2, 4), np.float32)
+    @example((12, 4, 5, 4, "bilinear", False, 2, 8), np.float32)
+    @example((20, 4, 5, 4, "bilinear", False, 2, 12), np.float32)
+    @example((7, 3, 2, 2, "avgpool", True, 2, 3), np.float64)
+    def test_law_causality_and_full_chunk(self, case, dtype):
         frames, chunk, p, r, kind, aux, layers, boundary = case
         base = AggregatorConfig(layout=SMALL, layers=layers, heads=2,
                                 global_mode="descriptor",
                                 method=CompressionMethod(kind, r), include_aux=aux,
-                                selector=KeyframeSelector(interval=3), seed=frames)
+                                selector=KeyframeSelector(interval=3), seed=frames,
+                                dtype=dtype)
         cfg = StreamConfig(base=base, chunk_size=chunk, retain_rate=p)
-        t = generate_synthetic(frames, SMALL, 100 + frames)
+        t = generate_synthetic(frames, SMALL, 100 + frames, dtype=dtype)
         out, cache = run_stream(t, cfg, return_cache=True)
 
-        # the memory law: every layer's live counts equal the closed form
+        # the memory law: the live record (tokens, bytes, ratios) is the closed form's
         model = memory_model(cfg, frames)
-        expect = (model.per_layer_cache_tokens, model.per_layer_compressed_tokens,
-                  model.per_layer_aux_tokens)
-        assert cache.token_counts() == [expect] * layers
+        assert model == cache_report(cache)
         per_frame = base.method.tokens_per_frame(SMALL)
-        assert model.per_layer_compressed_tokens == -(-frames // p) * per_frame
-        assert model.per_layer_aux_tokens == (SMALL.tokens_per_frame if aux else 0)
+        for layer in model.layers:
+            assert layer.compressed_tokens == -(-frames // p) * per_frame
+            assert layer.aux_tokens == (SMALL.tokens_per_frame if aux else 0)
 
         # causality: chunks before the boundary ignore every later frame, bitwise
         if boundary < frames:
@@ -213,8 +215,8 @@ class TestMemoryLaw:
         _, cache = run_stream(t, cfg, return_cache=True)
         per_frame = base.method.tokens_per_frame(DESK)
         bound = (t.frames / cfg.retain_rate + 1) * per_frame + DESK.tokens_per_frame
-        for total, _, _ in cache.token_counts():
-            assert total <= bound
+        for layer in cache_report(cache).layers:
+            assert layer.total_tokens <= bound
 
 
 class TestCacheReport:
