@@ -80,6 +80,14 @@ def init_weights(cfg: AggregatorConfig) -> list[LayerWeights]:
     return out
 
 
+def check_dtype(t: TokenTensor, cfg: AggregatorConfig) -> None:
+    """Tokens must be in the configured dtype: the weights are, and outputs
+    and cached descriptors take the tokens' dtype."""
+    if t.dtype != np.dtype(cfg.dtype):
+        raise ValueError(f"token dtype {t.dtype} does not match config dtype "
+                         f"{np.dtype(cfg.dtype)}")
+
+
 def forward_offline(t: TokenTensor, cfg: AggregatorConfig,
                     weights: list[LayerWeights] | None = None,
                     layer_outputs: list[TokenTensor] | None = None) -> TokenTensor:
@@ -90,6 +98,7 @@ def forward_offline(t: TokenTensor, cfg: AggregatorConfig,
     """
     if t.layout != cfg.layout:
         raise ValueError(f"token layout {t.layout} does not match config {cfg.layout}")
+    check_dtype(t, cfg)
     if weights is None:
         weights = init_weights(cfg)
     keyframes = None

@@ -12,18 +12,30 @@ the mask and the row softmax) serves the forward of every kernel, the
 diagnostic ``attention_probabilities`` and the score histogram, so all three
 see the same probabilities bit for bit.  It works on a leading batch axis:
 frame attention is one call with the frames as the batch, and the global
-kernels are one call with a batch of one.  The norms, projections and MLP run
-on the stacked rows.  Each call holds one (B, Q, K) float64 score workspace
-that every head in turn fills and softmaxes in place, so a yielded probability
-array is valid only until the next head.
+kernels are one call with a batch of one.
+
+Every block is query-tiled, with no untiled path.  Frame attention tiles by
+whole frames (QUERY_TILE // N of them, at least one) and the global kernels
+by runs of at most QUERY_TILE query rows.  LN1 and the K/V projections run
+once over the keys a tile group shares (a group of frames, or the whole key
+set of a global block); then each tile runs its Q projection, scores,
+softmax, context, W_o, LN2 and MLP before the next tile starts.  Each row's
+softmax still sees all of its keys, so tiling is exact, and a block of at
+most QUERY_TILE rows is one tile.  One (b, <= QUERY_TILE, K) float64 score
+workspace, allocated once per block call, serves every tile and head, which
+fill and softmax it in place, so a yielded probability array is valid only
+until the next (tile, head).  A block's activation peak is therefore
+O(QUERY_TILE * K), not O(Q * K).  Weights are cast to float64 once per block
+call, not once per tile.
 
 A mask's cuts split the frames into blocks, and a query sees only the keys
-whose provenance frame does not lie past its own block.  With cuts, the mask
-is a boolean (Q, K) visibility and hidden scores become -inf before the
-softmax; without cuts it hides nothing and builds no array.  A row with no
-visible key degenerates to a residual passthrough of the attention sub-block
-and raises MaskedRowWarning; valid configurations never produce one because a
-query's own frame is always visible to it.
+whose provenance frame does not lie past its own block.  With cuts, each
+tile's boolean visibility is built from the queries' last visible frame
+(``AttentionMask.limits``) and hidden scores become -inf before the softmax;
+without cuts it hides nothing and builds no array.  A row with no visible key
+degenerates to a residual passthrough of the attention sub-block and raises
+MaskedRowWarning; valid configurations never produce one because a query's
+own frame is always visible to it.
 
 No positional encoding is applied anywhere: frame identity flows only through
 token content and masks.
@@ -41,6 +53,8 @@ from .kernels import layer_norm, matmul, mlp, rng, stable_softmax_rows
 from .tokens import TokenTensor
 
 HISTOGRAM_BINS = 64
+# Query rows per tile: a block's score workspace is (b, <= QUERY_TILE, K).
+QUERY_TILE = 256
 
 
 class MaskedRowWarning(RuntimeWarning):
@@ -137,16 +151,19 @@ class AttentionMask:
         ends = np.append(cuts - 1, np.iinfo(np.int64).max)
         return ends[idx]
 
-    def visible(self, query_frames: np.ndarray, key_frames: np.ndarray) -> np.ndarray:
-        """Boolean (Q, K) visibility: True where a query may attend to a key.
+    def limits(self, query_frames: np.ndarray, key_frames: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The (Q,) last visible key frame of each query and the (K,) key
+        frames: query i may attend to key j iff ``keys[j] <= ends[i]``.
 
         The kernels ask only when there are cuts, since without them every
-        key is visible."""
+        key is visible, and build each query tile's visibility from these
+        rather than a full (Q, K) array."""
         key_frames = np.asarray(key_frames, dtype=np.int64)
         if key_frames.size and key_frames.min() < 0:
             raise ValueError("mask boundaries inconsistent with provenance: "
                              "negative key frame index")
-        return key_frames[None, :] <= self.block_end(query_frames)[:, None]
+        return self.block_end(query_frames), key_frames
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -154,35 +171,72 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
+def _tiles(batch: int, queries: int) -> list[tuple[slice, list[slice]]]:
+    """The query tiles of a block, grouped by the batch items whose keys
+    they share: (batch slice, query slices) per group, in order.
+
+    A group holds as many whole batch items as fit in QUERY_TILE query rows,
+    and at least one; an item with more queries than that is split into runs
+    of QUERY_TILE rows.  A tile is a group's batch slice with one of its query
+    slices, so it holds at most QUERY_TILE rows, and the first is the largest.
+    """
+    per = max(1, QUERY_TILE // max(queries, 1))
+    runs = [slice(lo, min(lo + QUERY_TILE, queries))
+            for lo in range(0, queries, QUERY_TILE)]
+    return [(slice(lo, min(lo + per, batch)), runs) for lo in range(0, batch, per)]
+
+
+def _project(rows: np.ndarray, w64: np.ndarray, shape: tuple) -> np.ndarray:
+    """Q/K/V projection: the product rounds to the rows' dtype, then widens."""
+    return matmul(rows, w64).astype(np.float64).reshape(shape)
+
+
 def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
-            visible: np.ndarray | None):
+            limits: tuple[np.ndarray, np.ndarray] | None):
     """The one attention score path, up to the post-softmax probabilities.
 
     ``x_q`` is (B, Q, C) and ``kv`` is (B, K, C): batch item b's queries see
-    only batch item b's keys.  Runs LN1 and the Q/K projections on the stacked
-    rows, then returns the normed (B * K, C) key/value rows (for the caller's
-    V projection) and an iterator that yields each head's (channel slice,
-    (B, Q, K) float64 probabilities) in turn.  Every head writes into the same
-    workspace, so a yielded array is valid only until the next head.
+    only batch item b's keys.  ``limits`` is ``AttentionMask.limits`` of a
+    batch of one, or None when every key is visible.  For each group of
+    ``_tiles`` it runs LN1 and the K/V projections over the group's keys
+    once; then for each query tile of the group it runs LN1 (for
+    self-attention, the key rows already normed) and the Q projection on the
+    tile's rows, and yields ((batch slice, query slice), (b, K, C) float64
+    values, heads), where ``heads`` yields each head's (channel slice,
+    (b, q, K) float64 probabilities) in turn.  Every tile and head writes into
+    one (b, <= QUERY_TILE, K) workspace, so a yielded array is valid only
+    until the next (tile, head): finish a tile's heads before asking for the
+    next tile.
     """
-    q_in = layer_norm(_rows(x_q), w.ln1_gamma, w.ln1_beta)
-    kv_in = q_in if kv is x_q else layer_norm(_rows(kv), w.ln1_gamma, w.ln1_beta)
-    q = matmul(q_in, w.wq).astype(np.float64).reshape(x_q.shape)
-    k = matmul(kv_in, w.wk).astype(np.float64).reshape(kv.shape)
-    if visible is not None:
-        dead = ~visible.any(axis=1)
-        if dead.any():
-            warnings.warn(f"{int(dead.sum())} fully masked query rows; "
+    if limits is not None:
+        ends, key_frames = limits
+        dead = int(np.count_nonzero(ends < key_frames.min()))
+        if dead:
+            warnings.warn(f"{dead} fully masked query rows; "
                           "attention contributes nothing for them", MaskedRowWarning)
-    return kv_in, _head_probabilities(q, k, w.heads, visible)
+    wq, wk, wv = (m.astype(np.float64) for m in (w.wq, w.wk, w.wv))
+    groups = _tiles(*x_q.shape[:2])
+    largest = x_q[groups[0][0], groups[0][1][0]]
+    work = np.empty(largest.shape[:2] + kv.shape[1:2])
+    for batch, runs in groups:
+        keys = kv[batch]
+        kv_in = layer_norm(_rows(keys), w.ln1_gamma, w.ln1_beta)
+        k = _project(kv_in, wk, keys.shape)
+        v = _project(kv_in, wv, keys.shape)
+        for queries in runs:
+            x = x_q[batch, queries]
+            q_in = (_rows(kv_in.reshape(keys.shape)[:, queries]) if kv is x_q
+                    else layer_norm(_rows(x), w.ln1_gamma, w.ln1_beta))
+            q = _project(q_in, wq, x.shape)
+            hidden = None if limits is None else key_frames > ends[queries, None]
+            yield (batch, queries), v, _head_probabilities(
+                q, k, w.heads, hidden, work[:x.shape[0], :x.shape[1]])
 
 
 def _head_probabilities(q: np.ndarray, k: np.ndarray, heads: int,
-                        visible: np.ndarray | None):
+                        hidden: np.ndarray | None, scores: np.ndarray):
     d = q.shape[-1] // heads
     inv_sqrt_d = 1.0 / np.sqrt(d)
-    hidden = None if visible is None else ~visible
-    scores = np.empty(q.shape[:-1] + k.shape[-2:-1])
     for lo in range(0, q.shape[-1], d):
         cols = slice(lo, lo + d)
         np.matmul(q[..., cols], k[..., cols].swapaxes(-1, -2), out=scores)
@@ -193,20 +247,21 @@ def _head_probabilities(q: np.ndarray, k: np.ndarray, heads: int,
 
 
 def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
-                     visible: np.ndarray | None) -> np.ndarray:
+                     limits: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """One full pre-norm block over a batch; queries from x_q (B, Q, C),
-    keys/values from kv (B, K, C)."""
-    kv_in, heads = _scores(x_q, kv, w, visible)
-    v = matmul(kv_in, w.wv).astype(np.float64).reshape(kv.shape)
-    ctx = np.empty(x_q.shape, dtype=np.float64)
-    for cols, probs in heads:
-        ctx[..., cols] = probs @ v[..., cols]
-    del probs  # the score workspace, freed before the MLP's temporaries
-
-    x = _rows(x_q)
-    y = x + matmul(_rows(ctx).astype(x.dtype), w.wo)
-    out = y + mlp(layer_norm(y, w.ln2_gamma, w.ln2_beta), w.w1, w.b1, w.w2, w.b2)
-    return out.reshape(x_q.shape)
+    keys/values from kv (B, K, C).  Each query tile runs its scores, context,
+    W_o, LN2 and MLP before the next tile starts."""
+    wo, w1, w2 = (m.astype(np.float64) for m in (w.wo, w.w1, w.w2))
+    out = np.empty_like(x_q)
+    for tile, v, heads in _scores(x_q, kv, w, limits):
+        x = x_q[tile]
+        ctx = np.empty(x.shape, dtype=np.float64)
+        for cols, probs in heads:
+            ctx[..., cols] = probs @ v[..., cols]
+        y = _rows(x) + matmul(_rows(ctx).astype(x.dtype), wo)
+        y += mlp(layer_norm(y, w.ln2_gamma, w.ln2_beta), w1, w.b1, w2, w.b2)
+        out[tile] = y.reshape(x.shape)
+    return out
 
 
 def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights) -> np.ndarray:
@@ -215,9 +270,12 @@ def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights) ->
 
     Diagnostic path: materializes every head, so keep inputs desk-scale.
     """
-    _, heads = _scores(x_q[None], kv[None], w, None)
-    # each head is copied out before the next one overwrites the workspace
-    return np.stack([probs[0].copy() for _, probs in heads])
+    out = np.empty((w.heads, x_q.shape[0], kv.shape[0]))
+    for (_, rows), _, heads in _scores(x_q[None], kv[None], w, None):
+        # each head is copied out before the next one overwrites the workspace
+        for h, (_, probs) in enumerate(heads):
+            out[h, rows] = probs[0]
+    return out
 
 
 def frame_attention(t: TokenTensor, w: BlockWeights) -> TokenTensor:
@@ -237,11 +295,11 @@ def dense_global_attention(t: TokenTensor, w: BlockWeights,
     if w.channels != t.channels:
         raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
     flat = t.flat()[None]
-    visible = None
+    limits = None
     if mask is not None and mask.cuts:
         frames = t.token_frames()
-        visible = mask.visible(frames, frames)
-    out = _attention_block(flat, flat, w, visible)
+        limits = mask.limits(frames, frames)
+    out = _attention_block(flat, flat, w, limits)
     return t.with_values(out.reshape(t.values.shape))
 
 
@@ -256,10 +314,10 @@ def descriptor_attention(t: TokenTensor, bundle: DescriptorBundle, w: BlockWeigh
         raise ValueError(f"bundle channels {bundle.channels} != token channels {t.channels}")
     if w.channels != t.channels:
         raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
-    visible = None
+    limits = None
     if mask is not None and mask.cuts:
-        visible = mask.visible(t.token_frames(), bundle.frames)
-    out = _attention_block(t.flat()[None], bundle.descriptors[None], w, visible)
+        limits = mask.limits(t.token_frames(), bundle.frames)
+    out = _attention_block(t.flat()[None], bundle.descriptors[None], w, limits)
     return t.with_values(out.reshape(t.values.shape))
 
 
@@ -277,7 +335,7 @@ def attention_score_histogram(t: TokenTensor, w: BlockWeights, mode: str
     edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
     x = t.values if mode == "frame" else t.flat()[None]
-    _, heads = _scores(x, x, w, None)
-    for _, probs in heads:
-        counts += np.histogram(probs, bins=edges)[0]
+    for _, _, heads in _scores(x, x, w, None):
+        for _, probs in heads:
+            counts += np.histogram(probs, bins=edges)[0]
     return counts, edges

@@ -35,10 +35,12 @@ def rng(seed: int) -> np.random.Generator:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with float64 accumulation.
+    """Matrix product with float64 accumulation, returned in ``a``'s dtype.
 
-    Raises ShapeError (reporting both shapes) unless ``a`` is (m, k) and
-    ``b`` is (k, n).
+    ``b`` is the weight: a caller that multiplies by the same weight many
+    times may pass its float64 copy, made once, and get the same bits as with
+    the weight itself.  Raises ShapeError (reporting both shapes) unless ``a``
+    is (m, k) and ``b`` is (k, n).
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -46,8 +48,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out_dtype = np.result_type(a.dtype, b.dtype)
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(out_dtype)
+    return (a.astype(np.float64, copy=False)
+            @ b.astype(np.float64, copy=False)).astype(a.dtype, copy=False)
 
 
 def stable_softmax_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregator import AggregatorConfig, LayerWeights, init_weights
+from .aggregator import AggregatorConfig, LayerWeights, check_dtype, init_weights
 from .attention import descriptor_attention, frame_attention
 from .compression import (DescriptorBundle, DescriptorKind, build_bundle,
                           select_keyframes)
@@ -102,6 +102,7 @@ def step(chunk: TokenTensor, cache: MemoryCache, cfg: StreamConfig,
         raise ValueError(f"chunk has {chunk.frames} frames, limit is {cfg.chunk_size}")
     if chunk.layout != cache.layout or cache.depth != base.layers:
         raise ValueError("cache layout/depth inconsistent with the stream config")
+    check_dtype(chunk, base)
     if weights is None:
         weights = init_weights(base)
 

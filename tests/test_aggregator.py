@@ -54,6 +54,22 @@ class TestModeEquivalence:
         assert hashlib.sha256(out.values.tobytes()).hexdigest()[:16] == GOLDEN_SHA256_16
 
 
+class TestTiledPins:
+    # Frozen at the untiled block and unchanged by query tiling: at S=8 on
+    # the desk grid (K=552) the dense block runs 3 query tiles, the frame
+    # blocks 3 tiles of whole frames, and the descriptor block 3 query tiles.
+    PINS = {"dense": "6e1e590bb6e17c64", "descriptor": "4914a652e1d8e247"}
+
+    @pytest.mark.parametrize("mode", ["dense", "descriptor"])
+    def test_multi_tile_forward_is_pinned(self, mode):
+        cfg = AggregatorConfig(layout=DESK, layers=2, heads=4, global_mode=mode,
+                               method=CompressionMethod("bilinear", 4), seed=11)
+        t = generate_synthetic(8, DESK, 12)
+        assert t.total_tokens == 552
+        out = forward_offline(t, cfg)
+        assert hashlib.sha256(out.values.tobytes()).hexdigest()[:16] == self.PINS[mode]
+
+
 class TestStackStructure:
     def test_zero_layers_rejected(self):
         with pytest.raises(ValueError):
@@ -103,6 +119,12 @@ class TestStackStructure:
         cfg = desc_cfg()
         t = generate_synthetic(2, DESK, 0)
         with pytest.raises(ValueError):
+            forward_offline(t, cfg)
+
+    def test_token_dtype_mismatch_rejected(self):
+        cfg = desc_cfg()  # float32
+        t = generate_synthetic(2, PATCH_ONLY, 0, dtype=np.float64)
+        with pytest.raises(ValueError, match="float64.*float32"):
             forward_offline(t, cfg)
 
     def test_config_validation(self):

@@ -274,8 +274,8 @@ class TestOneScorePath:
 
 class TestScoreWorkspace:
     def test_dense_peak_is_about_one_score_matrix(self):
-        # one (1, K, K) float64 workspace serves every head; the softmax runs
-        # inside it, so no second (K, K) float64 array is ever alive
+        # one (1, <= QUERY_TILE, K) float64 workspace serves every tile and
+        # head; the softmax runs inside it, so no (K, K) array is ever alive
         t = generate_synthetic(16, DESK, 28)
         w = init_block_weights(29, 32, 4)
         k = t.total_tokens
@@ -287,6 +287,71 @@ class TestScoreWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 2 * k * k * 8
+
+
+class TestQueryTiles:
+    @pytest.mark.parametrize("batch,queries", [(1, 785), (32, 69), (5, 300), (3, 256)])
+    def test_tiles_cover_every_query_once(self, batch, queries):
+        seen = np.zeros((batch, queries), dtype=np.int64)
+        for bs, runs in attention._tiles(batch, queries):
+            for qs in runs:
+                rows = seen[bs, qs]
+                assert rows.size <= attention.QUERY_TILE
+                if queries <= attention.QUERY_TILE:
+                    assert rows.shape[1] == queries  # whole batch items
+                seen[bs, qs] += 1
+        assert np.all(seen == 1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tiles_are_independent(self, dtype):
+        # each tile's output depends only on its own queries and the keys
+        tile = attention.QUERY_TILE
+        q = 3 * tile + 17
+        t = generate_synthetic(12, DESK, 32, dtype=dtype)
+        x = t.flat()[None, :q]
+        bundle = build_bundle(t, CompressionMethod("bilinear", 2),
+                              KeyframeSelector(interval=4), True)
+        kv = bundle.descriptors[None]
+        w = init_block_weights(33, 32, 4, dtype)
+        whole = attention._attention_block(x, kv, w, None)
+        parts = [attention._attention_block(x[:, lo:lo + tile], kv, w, None)
+                 for lo in range(0, q, tile)]
+        assert len(parts) == 4
+        assert np.array_equal(whole, np.concatenate(parts, axis=1))
+
+    def test_multi_tile_dense_matches_float64_oracle(self):
+        t = generate_synthetic(8, DESK, 34, dtype=np.float64)
+        assert t.total_tokens > 2 * attention.QUERY_TILE
+        w = init_block_weights(35, 32, 4, np.float64)
+        out = dense_global_attention(t, w)
+        np.testing.assert_allclose(out.flat(), block_oracle(t.flat(), w), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cuts", [(3,), (2, 5, 6)])
+    def test_masked_multi_tile_equals_unmasked_prefix(self, cuts):
+        # tile edges (every 256 rows, 3.7 frames) fall inside mask blocks
+        t = generate_synthetic(8, DESK, 36)
+        w = init_block_weights(37, 32, 4)
+        out = dense_global_attention(t, w, AttentionMask(cuts))
+        for a, e in zip((0, *cuts), (*cuts, t.frames)):
+            prefix = dense_global_attention(TokenTensor(DESK, t.values[:e]), w)
+            assert np.max(np.abs(out.values[a:e] - prefix.values[a:e])) <= 1e-6
+
+    def test_dense_peak_grows_linearly_in_keys(self):
+        # the workspace is (1, QUERY_TILE, K), so doubling K adds a fixed
+        # multiple of K: successive increments grow 2x, against 4x for a
+        # (K, K) score array
+        w = init_block_weights(38, 32, 4)
+        peaks = []
+        for frames in (8, 16, 32):
+            t = generate_synthetic(frames, DESK, 39)
+            tracemalloc.start()
+            try:
+                dense_global_attention(t, w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert t.total_tokens == 2208
+        assert (peaks[2] - peaks[1]) / (peaks[1] - peaks[0]) < 3.0
 
 
 class TestHistogram:

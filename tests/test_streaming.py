@@ -60,6 +60,12 @@ class TestStep:
         with pytest.raises(ValueError, match="cache"):
             step(t, MemoryCache.empty(cfg_a), cfg_b)
 
+    def test_token_dtype_mismatch_rejected(self):
+        cfg = StreamConfig(base=desc_base())  # float32
+        t = generate_synthetic(2, DESK, 0, dtype=np.float64)
+        with pytest.raises(ValueError, match="float64.*float32"):
+            step(t, MemoryCache.empty(cfg), cfg)
+
     def test_queries_never_include_cached_tokens(self):
         # output frame count always equals the chunk frame count
         base = desc_base(seed=5)
