@@ -1,18 +1,19 @@
-"""Benchmark and verification command line.
+"""Checksum sweep and verification command line.
 
-Subcommands: ``bench`` (timed runs over dense / descriptor / streaming modes,
-CSV + optional markdown), ``verify`` (named invariant suite, nonzero exit on
-failure), ``flops`` (analytic cost report), ``stream`` (cache occupancy
-report), ``histogram`` (attention-score histograms).
+Subcommands: ``bench`` (checksummed dense / descriptor / streaming runs, one
+CSV row per configuration and mode), ``verify`` (named invariant suite,
+nonzero exit on failure), ``flops`` (analytic cost report), ``stream`` (cache
+occupancy report), ``histogram`` (attention-score histograms).
 
 Exit codes: 0 success, 2 usage error, 3 verification failure, 4 I/O error.
 
 Flags may also come from a flat ``key=value`` config file (``--config``);
 explicit command-line flags override file values and an unknown key is a
 usage error.  For ``bench``, ``--frames``, ``--ratio``, ``--retain`` and
-``--chunk`` accept comma-separated lists and it runs the cartesian product.
-Every sweep CSV row carries the complete configuration needed to reproduce
-it, plus a checksum of the output tokens.
+``--chunk`` accept comma-separated lists and it runs the cartesian product,
+each (configuration, mode) once.  Every sweep CSV row carries the complete
+configuration needed to reproduce it, plus a checksum of the output tokens.
+``bench`` times nothing: wall time and memory are measured by ``benchmark/``.
 """
 
 from __future__ import annotations
@@ -21,16 +22,14 @@ import argparse
 import csv
 import hashlib
 import itertools
-import statistics
 import sys
-import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, verify
-from .aggregator import AggregatorConfig, forward_offline, init_weights
+from .aggregator import AggregatorConfig, forward_offline
 from .attention import attention_score_histogram, init_block_weights
 from .compression import COMPRESSION_KINDS, CompressionMethod, KEYFRAME_METHODS, KeyframeSelector
 from .streaming import StreamConfig, cache_report, run_stream
@@ -51,12 +50,11 @@ _DTYPES = {"f32": np.float32, "f64": np.float64}
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One reproducible benchmark run (modes share this configuration).
+    """One reproducible run configuration (modes share it).
 
     Its fields are the single list of run settings: the CLI flags, the
     ``--config`` keys, the CSV configuration columns and the replay parse
-    are all derived from them.  ``repeats`` only sets how often ``bench``
-    times a run, so sweep rows do not record it.
+    are all derived from them.
     """
 
     frames: int = 8
@@ -75,7 +73,6 @@ class RunSpec:
     register: int = 4
     seed: int = 0
     precision: str = field(default="f32", metadata={"choices": tuple(_DTYPES)})
-    repeats: int = 3
 
     def __post_init__(self):
         for f in fields(self):
@@ -109,25 +106,21 @@ class RunSpec:
                             chunk_size=self.chunk, retain_rate=self.retain)
 
     def row(self) -> dict:
-        """The configuration columns of a CSV row (``repeats`` excluded)."""
+        """The configuration columns of a CSV row."""
         return {col: _cell(getattr(self, f.name))
-                for f, col in zip(_RECORDED, _CONFIG_COLUMNS)}
+                for f, col in zip(fields(self), _CONFIG_COLUMNS)}
 
     @classmethod
     def from_row(cls, row: dict) -> "RunSpec":
         """Parse the configuration columns of a CSV row; cells may be text."""
         return cls(**{f.name: _value_type(f.default)(str(row[col]))
-                      for f, col in zip(_RECORDED, _CONFIG_COLUMNS)})
+                      for f, col in zip(fields(cls), _CONFIG_COLUMNS)})
 
 
-_RECORDED = tuple(f for f in fields(RunSpec) if f.name != "repeats")
-_CONFIG_COLUMNS = tuple(COLUMN_NAMES.get(f.name, f.name) for f in _RECORDED)
-# The v1 layouts, kept byte for byte: bench.csv puts its measurements right
-# after the method, so its first seven columns also make the markdown summary.
-SWEEP_COLUMNS = ("run_id", "repeat", "mode", *_CONFIG_COLUMNS,
-                 "wall_ms", "tokens", "cache_tokens", "checksum")
-BENCH_COLUMNS = ("mode", *_CONFIG_COLUMNS[:5], "wall_ms_median", "wall_ms_p90",
-                 "tokens", "cache_tokens", *_CONFIG_COLUMNS[5:], "repeats")
+_CONFIG_COLUMNS = tuple(COLUMN_NAMES.get(f.name, f.name) for f in fields(RunSpec))
+# The v2 layout.  v1 rows (which also had ``repeat`` and ``wall_ms``) still
+# replay, because ``from_row`` reads the configuration columns by name.
+SWEEP_COLUMNS = ("run_id", "mode", *_CONFIG_COLUMNS, "tokens", "cache_tokens", "checksum")
 
 
 def _cell(value):
@@ -168,75 +161,42 @@ def _checksum(values: np.ndarray) -> str:
 
 
 def _forward(run: RunSpec, mode: str):
-    """Build the inputs and weights of one (configuration, mode) and return
-    a call that runs the forward alone, giving (output tokens, stream cache or
-    None).  The weights are those ``forward_offline`` and ``run_stream``
-    would build themselves, so outputs are unchanged."""
-    tokens = run.tokens()
+    """Run one (configuration, mode); returns (output tokens, stream cache or
+    None)."""
     if mode == "stream":
-        cfg = run.stream_config()
-        weights = init_weights(cfg.base)
-        return lambda: run_stream(tokens, cfg, weights, return_cache=True)
-    cfg = run.aggregator_config(mode)
-    weights = init_weights(cfg)
-    return lambda: (forward_offline(tokens, cfg, weights), None)
+        return run_stream(run.tokens(), run.stream_config(), return_cache=True)
+    return forward_offline(run.tokens(), run.aggregator_config(mode)), None
 
 
-def _timed_rows(run_id: int, run: RunSpec):
-    """Per-(mode, repeat) sweep rows plus per-mode aggregated bench rows."""
-    sweep_rows, bench_rows = [], []
-    config = run.row()
-    k_tokens = run.frames * run.layout().tokens_per_frame
-    for mode in MODES:
-        forward = _forward(run, mode)
-        forward()  # warmup
-        times = []
-        for rep in range(max(1, run.repeats)):
-            t0 = time.perf_counter()
-            out, cache = forward()
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            times.append(wall_ms)
-            cache_tokens = 0 if cache is None else cache_report(cache).total_tokens
-            sweep_rows.append({
-                "run_id": run_id, "repeat": rep, "mode": mode, **config,
-                "wall_ms": f"{wall_ms:.3f}", "tokens": k_tokens,
-                "cache_tokens": cache_tokens, "checksum": _checksum(out.values)})
-        bench_rows.append({
-            "mode": mode, **config,
-            "wall_ms_median": f"{statistics.median(times):.3f}",
-            "wall_ms_p90": f"{float(np.percentile(times, 90)):.3f}",
-            "tokens": k_tokens, "cache_tokens": cache_tokens, "repeats": run.repeats})
-    return sweep_rows, bench_rows
-
-
-def sweep(runs: list[RunSpec], out_dir: Path) -> list[dict]:
-    """Run every configuration, write sweep/bench CSVs, return sweep rows.
-
-    Failed runs are recorded in ``failures.csv`` and do not abort the rest.
-    Runs execute one after another: concurrent runs would share the BLAS
-    threads, and their timings could not be compared.
+def sweep(runs: list[RunSpec], out_dir: Path) -> tuple[list[dict], list[dict]]:
+    """Run every configuration in every mode once; write ``sweep.csv`` and
+    ``failures.csv`` (header only when nothing failed) and return
+    (sweep rows, failures).  A failed configuration does not stop the rest.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    sweep_rows, bench_rows, failures = [], [], []
+    rows, failures = [], []
     for run_id, run in enumerate(runs):
         try:
-            run_sweep, run_bench = _timed_rows(run_id, run)
+            run_rows = []
+            for mode in MODES:
+                out, cache = _forward(run, mode)
+                run_rows.append({
+                    "run_id": run_id, "mode": mode, **run.row(),
+                    "tokens": out.total_tokens,
+                    "cache_tokens": 0 if cache is None else cache_report(cache).total_tokens,
+                    "checksum": _checksum(out.values)})
         except Exception as exc:  # noqa: BLE001 - manifest, keep going
             failures.append({"run_id": run_id, "error": repr(exc)})
             continue
-        sweep_rows += run_sweep
-        bench_rows += run_bench
-    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, sweep_rows)
-    _write_csv(out_dir / "bench.csv", BENCH_COLUMNS, bench_rows)
-    (out_dir / "summary.md").write_text(_markdown_summary(bench_rows))
-    if failures:
-        _write_csv(out_dir / "failures.csv", ("run_id", "error"), failures)
-    return sweep_rows
+        rows += run_rows
+    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
+    _write_csv(out_dir / "failures.csv", ("run_id", "error"), failures)
+    return rows, failures
 
 
 def run_from_row(row: dict) -> str:
     """Re-execute the configuration recorded in a sweep row; returns the checksum."""
-    out, _ = _forward(RunSpec.from_row(row), str(row["mode"]))()
+    out, _ = _forward(RunSpec.from_row(row), str(row["mode"]))
     return _checksum(out.values)
 
 
@@ -248,17 +208,10 @@ def _write_csv(path: Path, columns, rows: list[dict]) -> None:
             writer.writerow(row)
 
 
-def _markdown_summary(bench_rows: list[dict]) -> str:
-    columns = BENCH_COLUMNS[:7]
-    lines = ["| " + " | ".join(columns) + " |", "|" + "---|" * len(columns)]
-    lines += ["| " + " | ".join(str(row[c]) for c in columns) + " |" for row in bench_rows]
-    return "\n".join(lines) + "\n"
-
-
 def _add_run_flags(p: argparse.ArgumentParser, bench: bool) -> None:
-    """One flag per RunSpec field.  ``bench`` also takes ``--repeats`` and
-    comma lists on the swept axes, whose cartesian product it runs."""
-    for f in fields(RunSpec) if bench else _RECORDED:
+    """One flag per RunSpec field.  ``bench`` takes comma lists on the swept
+    axes, whose cartesian product it runs."""
+    for f in fields(RunSpec):
         flag = f"--{f.name}"
         if bench and f.name in COLUMN_NAMES:
             p.add_argument(flag, type=_int_list, default=[f.default])
@@ -282,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="run the named invariant suite")
     p_verify.add_argument("--seed", default=0, type=int)
     p_verify.add_argument("--config", default=None, type=Path)
-    for name, text in (("bench", "timed dense/descriptor/stream runs"),
+    for name, text in (("bench", "checksummed dense/descriptor/stream runs"),
                        ("flops", "analytic FLOP report"),
                        ("stream", "streaming cache occupancy report"),
                        ("histogram", "attention-score histograms")):
@@ -326,8 +279,13 @@ def _runs_from_args(args) -> list[RunSpec]:
 
 
 def _cmd_bench(args) -> int:
-    rows = sweep(_runs_from_args(args), args.out)
+    runs = _runs_from_args(args)
+    rows, failures = sweep(runs, args.out)
     print(f"wrote {len(rows)} sweep rows to {args.out / 'sweep.csv'}")
+    if failures:
+        print(f"{len(failures)} of {len(runs)} configurations failed; see "
+              f"{args.out / 'failures.csv'}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -363,7 +321,7 @@ def _cmd_flops(args) -> int:
 
 def _cmd_stream(args) -> int:
     [run] = _runs_from_args(args)
-    _, cache = run_stream(run.tokens(), run.stream_config(), return_cache=True)
+    _, cache = _forward(run, "stream")
     report = cache_report(cache)
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "cache_report.csv").write_text(report.to_csv())

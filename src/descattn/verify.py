@@ -299,7 +299,7 @@ def check_bench_rows_reproducible(seed: int) -> None:
     recorded checksum."""
     from . import cli  # deferred: cli imports this module for `verify`
     with tempfile.TemporaryDirectory() as tmp:
-        cli.sweep([cli.RunSpec(frames=2, seed=seed, repeats=1, layers=1,
+        cli.sweep([cli.RunSpec(frames=2, seed=seed, layers=1,
                                grid=(4, 4), channels=16, heads=2, ratio=2)],
                   Path(tmp))
         with open(Path(tmp) / "sweep.csv", newline="") as fh:

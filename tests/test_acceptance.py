@@ -238,7 +238,7 @@ def test_criterion_8_determinism(tmp_path):
     from descattn.cli import main
     import csv as _csv
     args = ["bench", "--frames", "2,3", "--grid", "4x4", "--channels", "16",
-            "--heads", "2", "--ratio", "2", "--layers", "1", "--repeats", "1"]
+            "--heads", "2", "--ratio", "2", "--layers", "1"]
     assert main([*args, "--out", str(tmp_path / "a")]) == 0
     assert main([*args, "--out", str(tmp_path / "b")]) == 0
 

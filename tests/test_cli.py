@@ -5,10 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from descattn import aggregator, cli, streaming
-from descattn.cli import (BENCH_COLUMNS, SWEEP_COLUMNS, EXIT_IO, EXIT_OK,
-                          EXIT_USAGE, EXIT_VERIFY, RunSpec, main, run_from_row,
-                          sweep)
+from descattn.cli import (SWEEP_COLUMNS, EXIT_IO, EXIT_OK, EXIT_USAGE,
+                          EXIT_VERIFY, RunSpec, main, run_from_row, sweep)
 
 TINY = ["--frames", "2", "--grid", "4x4", "--channels", "16", "--heads", "2",
         "--ratio", "2", "--layers", "1", "--seed", "3"]
@@ -20,10 +18,12 @@ def read_csv(path: Path) -> list[dict]:
 
 
 class TestVerify:
-    def test_default_config_passes(self, capsys):
+    def test_passing_checks_exit_ok(self, monkeypatch, capsys):
+        from descattn import verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "CHECKS", [("forced.pass", lambda seed: None)])
         assert main(["verify", "--seed", "7"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        assert capsys.readouterr().out == "PASS forced.pass\n"
 
 
 class TestFlops:
@@ -47,42 +47,28 @@ class TestFlops:
 
 class TestBench:
     def test_artifacts_and_schema(self, tmp_path):
-        code = main(["bench", *TINY, "--repeats", "1", "--out", str(tmp_path)])
+        code = main(["bench", *TINY, "--out", str(tmp_path)])
         assert code == EXIT_OK
-        bench = read_csv(tmp_path / "bench.csv")
-        assert list(bench[0].keys()) == list(BENCH_COLUMNS)
-        assert {r["mode"] for r in bench} == {"dense", "descriptor", "stream"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["failures.csv", "sweep.csv"]
+        assert ",".join(SWEEP_COLUMNS) == (
+            "run_id,mode,S,r,p,c,method,selector,interval,aux,layers,channels,heads,"
+            "grid,camera,register,seed,precision,tokens,cache_tokens,checksum")
         rows = read_csv(tmp_path / "sweep.csv")
         assert list(rows[0].keys()) == list(SWEEP_COLUMNS)
-
-    def test_rows_reproduce_checksums(self, tmp_path):
-        main(["bench", *TINY, "--repeats", "1", "--out", str(tmp_path)])
-        for row in read_csv(tmp_path / "sweep.csv"):
-            assert run_from_row(row) == row["checksum"]
-
-    def test_repeats_share_checksums(self, tmp_path):
-        main(["bench", *TINY, "--repeats", "3", "--out", str(tmp_path)])
-        rows = read_csv(tmp_path / "sweep.csv")
-        by_mode = {}
-        for row in rows:
-            by_mode.setdefault(row["mode"], set()).add(row["checksum"])
-        for mode, sums in by_mode.items():
-            assert len(sums) == 1, f"{mode} checksums differ across repeats"
+        assert [r["mode"] for r in rows] == ["dense", "descriptor", "stream"]
+        assert read_csv(tmp_path / "failures.csv") == []
 
     def test_ratio_sweep_produces_a_row_per_value(self, tmp_path):
         code = main(["bench", "--frames", "2", "--grid", "8x8", "--channels", "16",
                      "--heads", "2", "--layers", "1", "--ratio", "1,2,4,8",
-                     "--repeats", "1", "--out", str(tmp_path)])
+                     "--out", str(tmp_path)])
         assert code == EXIT_OK
         rows = read_csv(tmp_path / "sweep.csv")
         assert {r["r"] for r in rows} == {"1", "2", "4", "8"}
 
     def test_v1_layout_and_replay(self):
-        # both headers and three sweep.csv rows of TINY as the v1 writer left them
-        assert ",".join(BENCH_COLUMNS) == (
-            "mode,S,r,p,c,method,wall_ms_median,wall_ms_p90,tokens,cache_tokens,"
-            "selector,interval,aux,layers,channels,heads,grid,camera,register,seed,"
-            "precision,repeats")
+        # three sweep.csv rows of TINY as the v1 writer left them; v2 dropped
+        # the repeat and wall_ms columns, and v1 rows still replay
         text = ("run_id,repeat,mode,S,r,p,c,method,selector,interval,aux,layers,"
                 "channels,heads,grid,camera,register,seed,precision,wall_ms,tokens,"
                 "cache_tokens,checksum\n"
@@ -92,31 +78,10 @@ class TestBench:
                 "f32,2.099,42,0,4f53602b0de3d15d\n"
                 "0,0,stream,2,2,5,10,bilinear,cluster,200,True,1,16,2,4x4,1,4,3,f32,"
                 "2.178,42,25,4f53602b0de3d15d\n")
-        assert text.startswith(",".join(SWEEP_COLUMNS) + "\n")
+        v1_columns = text.splitlines()[0].split(",")
+        assert [c for c in v1_columns if c not in ("repeat", "wall_ms")] == list(SWEEP_COLUMNS)
         for row in csv.DictReader(text.splitlines()):
             assert run_from_row(row) == row["checksum"]
-
-    def test_only_the_forward_is_timed(self, tmp_path, monkeypatch):
-        calls = {"tokens": 0, "weights": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(cli, "generate_synthetic",
-                            counting("tokens", cli.generate_synthetic))
-        weights = counting("weights", aggregator.init_weights)
-        for module in (cli, aggregator, streaming):
-            monkeypatch.setattr(module, "init_weights", weights)
-        assert main(["bench", *TINY, "--repeats", "3", "--out", str(tmp_path)]) == EXIT_OK
-        # one per mode, built before the warm-up, never inside a timed call
-        assert calls == {"tokens": 3, "weights": 3}
-
-    def test_markdown_summary(self, tmp_path):
-        main(["bench", *TINY, "--repeats", "1", "--out", str(tmp_path)])
-        assert (tmp_path / "summary.md").read_text().startswith("| mode |")
 
     def test_empty_spec_writes_header_only(self, tmp_path):
         sweep([], tmp_path)
@@ -125,13 +90,26 @@ class TestBench:
         assert lines[0] == ",".join(SWEEP_COLUMNS)
 
     def test_failure_manifest_preserves_partial_results(self, tmp_path):
-        rows = sweep([RunSpec(frames=2, grid=(4, 4), channels=16, heads=2,
-                              ratio=2, layers=1, repeats=1),
-                      RunSpec(frames=2, grid=(4, 4), channels=16, heads=2,
-                              ratio=9, layers=1, repeats=1)], tmp_path)
+        rows, _ = sweep([RunSpec(frames=2, grid=(4, 4), channels=16, heads=2,
+                                 ratio=2, layers=1),
+                         RunSpec(frames=2, grid=(4, 4), channels=16, heads=2,
+                                 ratio=9, layers=1)], tmp_path)
         assert rows, "the valid run must still produce rows"
         failures = read_csv(tmp_path / "failures.csv")
         assert len(failures) == 1 and failures[0]["run_id"] == "1"
+
+    def test_failed_configuration_exits_nonzero(self, tmp_path, capsys):
+        args = ["bench", "--grid", "4x4", "--channels", "16", "--heads", "2",
+                "--frames", "2", "--layers", "1", "--out", str(tmp_path)]
+        assert main([*args, "--ratio", "2,9"]) == EXIT_USAGE
+        assert "1 of 2 configurations failed" in capsys.readouterr().err
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert [(r["run_id"], r["mode"]) for r in rows] == [
+            ("0", "dense"), ("0", "descriptor"), ("0", "stream")]
+        assert [r["run_id"] for r in read_csv(tmp_path / "failures.csv")] == ["1"]
+        # a clean rerun into the same directory leaves no stale failure
+        assert main([*args, "--ratio", "2"]) == EXIT_OK
+        assert (tmp_path / "failures.csv").read_text().splitlines() == ["run_id,error"]
 
 
 class TestStreamAndHistogram:
