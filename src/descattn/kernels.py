@@ -95,11 +95,30 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """GELU activation (tanh form)."""
+    """GELU activation (tanh form), evaluated in float64 and cast back.
+
+    ``0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3)))``.  The cube
+    is the multiply chain ``x * x * x``, not ``x ** 3``: numpy's ``**`` runs
+    its generic SIMD ``pow``, which costs many times the two multiplies and
+    whose last bits depend on the CPU dispatch level.  For a float32 input,
+    ``x * x`` is exact in float64, so the cube rounds once.  The remaining
+    steps run in place on one float64 temporary, in the order of the formula
+    above; that order is pinned, because the float32 output bits (the golden
+    checksum and the forward pins) depend on each rounding.  ``x`` itself is
+    never written.
+    """
     x = np.asarray(x)
     x64 = x.astype(np.float64)
-    out = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * x64 ** 3)))
-    return out.astype(x.dtype)
+    t = x64 * x64
+    t *= x64
+    t *= 0.044715
+    t += x64
+    t *= np.sqrt(2.0 / np.pi)
+    np.tanh(t, out=t)
+    t += 1.0
+    x64 *= 0.5
+    x64 *= t
+    return x64.astype(x.dtype, copy=False)
 
 
 def mlp(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,

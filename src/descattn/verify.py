@@ -25,8 +25,8 @@ from .attention import (AttentionMask, attention_probabilities,
 from .compression import (COMPRESSION_KINDS, CompressionMethod, DescriptorKind,
                           KeyframeSelector, build_bundle, bundle_token_counts,
                           compress_frame, lloyd, topk_norm_indices)
-from .kernels import (half_pixel_centers, matmul, resample_bilinear, rng,
-                      stable_softmax_rows)
+from .kernels import (gelu, half_pixel_centers, layer_norm, matmul,
+                      resample_bilinear, rng, stable_softmax_rows)
 from .tokens import FrameLayout, TokenTensor, generate_synthetic
 
 _PATCH_ONLY = FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=32)
@@ -75,6 +75,14 @@ def check_kernels_pure(seed: int) -> None:
     assert np.array_equal(stable_softmax_rows(x), stable_softmax_rows(x))
     g = rng(seed + 1).standard_normal((6, 6, 3)).astype(np.float32)
     assert np.array_equal(resample_bilinear(g, 3, 3), resample_bilinear(g, 3, 3))
+    gamma, beta = rng(seed + 2).standard_normal((2, 8))
+    for dtype in (np.float32, np.float64):
+        h = (3.0 * x).astype(dtype)
+        before = h.copy()
+        for name, kernel in (("gelu", gelu),
+                             ("layer_norm", lambda a: layer_norm(a, gamma, beta))):
+            assert np.array_equal(kernel(h), kernel(h)), name
+            assert np.array_equal(h, before), f"{name} wrote its {h.dtype} input"
 
 
 def check_k_definition(seed: int) -> None:

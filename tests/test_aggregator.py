@@ -1,6 +1,10 @@
 """Alternating-attention stack: mode equivalence, structure, determinism."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,33 @@ class TestTiledPins:
         assert t.total_tokens == 552
         out = forward_offline(t, cfg)
         assert hashlib.sha256(out.values.tobytes()).hexdigest()[:16] == self.PINS[mode]
+
+
+class TestPinsUnderSimdLevels:
+    # The float32 pins must not depend on numpy's SIMD dispatch.  Each level
+    # reruns them in a fresh interpreter with numpy's dispatched targets
+    # switched off down to AVX2 (first level) and down to the X86_V2
+    # baseline (second level).  Float64 outputs, and even raw float32 GELU
+    # values, can move with the dispatch of tanh and exp, so nothing else is
+    # pinned across levels.
+    PINNED = ["tests/test_aggregator.py::TestModeEquivalence::test_golden_checksum",
+              "tests/test_aggregator.py::TestTiledPins::test_multi_tile_forward_is_pinned"]
+
+    @pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR",
+                                          "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"])
+    def test_pins_hold(self, disabled):
+        baseline = np.__config__.CONFIG["SIMD Extensions"]["baseline"]
+        if set(disabled.split()) & set(baseline):
+            pytest.skip(f"numpy's baseline {baseline} cannot be disabled")
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+                   PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               *self.PINNED],
+                              cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0 and "3 passed" in done.stdout, done.stdout + done.stderr
 
 
 class TestStackStructure:

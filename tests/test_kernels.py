@@ -1,4 +1,4 @@
-"""Numeric kernel contracts: matmul, softmax, layer norm, resampling."""
+"""Numeric kernel contracts: matmul, softmax, layer norm, GELU, resampling."""
 
 import math
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from descattn.kernels import (ShapeError, half_pixel_centers, layer_norm, matmul,
-                              resample_bilinear, resample_nearest, rng,
+from descattn.kernels import (ShapeError, gelu, half_pixel_centers, layer_norm,
+                              matmul, resample_bilinear, resample_nearest, rng,
                               stable_softmax_rows)
 
 
@@ -137,6 +137,41 @@ class TestLayerNorm:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             layer_norm(np.zeros((2, 4)), np.ones(3), np.zeros(3))
+
+
+class TestGelu:
+    def test_float32_bits_match_the_power_form(self):
+        gen = rng(12)
+        tiny = np.finfo(np.float32).smallest_subnormal
+        big = np.finfo(np.float32).max
+        edges = np.array([0.0, tiny, -tiny, 1e-20, -1e-20, 3.0, -3.0,
+                          1e4, -1e4, big, -big], dtype=np.float32)
+        # MLP-scale values, then random finite bit patterns over every exponent
+        spread = gen.integers(0, 2**32, size=1 << 19, dtype=np.uint32).view(np.float32)
+        x = np.concatenate([edges, (4.0 * gen.standard_normal(1 << 19)).astype(np.float32),
+                            spread[np.isfinite(spread)]])
+        assert x.size >= 1_000_000
+        x64 = x.astype(np.float64)
+        oracle = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
+                                            * (x64 + 0.044715 * x64 ** 3)))
+        got = gelu(x)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), oracle.astype(np.float32).view(np.uint32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inputs_are_not_written(self, dtype):
+        x = (3.0 * rng(13).standard_normal((7, 16))).astype(dtype)
+        before = x.copy()
+        assert gelu(x).dtype == dtype
+        assert np.array_equal(x, before)
+        layer_norm(x, np.ones(16), np.zeros(16))
+        assert np.array_equal(x, before)
+
+    def test_closed_forms(self):
+        assert gelu(np.zeros(3, dtype=np.float32)).tolist() == [0.0, 0.0, 0.0]
+        # tanh is odd, so gelu(x) - gelu(-x) = x
+        x = np.concatenate([[0.0], 4.0 * rng(14).standard_normal(10_000)])
+        assert np.max(np.abs(gelu(x) - gelu(-x) - x)) <= 1e-12
 
 
 class TestBilinear:
