@@ -25,7 +25,7 @@ from .attention import (AttentionMask, attention_probabilities,
 from .compression import (COMPRESSION_KINDS, CompressionMethod, DescriptorKind,
                           KeyframeSelector, build_bundle, bundle_token_counts,
                           compress_frame, lloyd, topk_norm_indices)
-from .kernels import (gelu, half_pixel_centers, layer_norm, matmul,
+from .kernels import (gelu, half_pixel_centers, layer_norm, matmul, mlp,
                       resample_bilinear, rng, stable_softmax_rows)
 from .tokens import FrameLayout, TokenTensor, generate_synthetic
 
@@ -71,18 +71,27 @@ def check_bilinear_exact_on_affine(seed: int) -> None:
 
 
 def check_kernels_pure(seed: int) -> None:
+    bufsize = np.getbufsize()
     x = rng(seed).standard_normal((6, 8)).astype(np.float32)
     assert np.array_equal(stable_softmax_rows(x), stable_softmax_rows(x))
+    # more than 256 keys per row takes the unbuffered softmax path
+    wide = 10.0 * rng(seed + 3).standard_normal((5, 300)).astype(np.float32)
+    assert np.array_equal(stable_softmax_rows(wide), stable_softmax_rows(wide))
     g = rng(seed + 1).standard_normal((6, 6, 3)).astype(np.float32)
     assert np.array_equal(resample_bilinear(g, 3, 3), resample_bilinear(g, 3, 3))
     gamma, beta = rng(seed + 2).standard_normal((2, 8))
+    gen = rng(seed + 4)
+    w1, w2 = gen.standard_normal((8, 32)), gen.standard_normal((32, 8))
+    b1, b2 = gen.standard_normal(32), gen.standard_normal(8)
     for dtype in (np.float32, np.float64):
         h = (3.0 * x).astype(dtype)
         before = h.copy()
         for name, kernel in (("gelu", gelu),
-                             ("layer_norm", lambda a: layer_norm(a, gamma, beta))):
+                             ("layer_norm", lambda a: layer_norm(a, gamma, beta)),
+                             ("mlp", lambda a: mlp(a, w1, b1, w2, b2))):
             assert np.array_equal(kernel(h), kernel(h)), name
             assert np.array_equal(h, before), f"{name} wrote its {h.dtype} input"
+    assert np.getbufsize() == bufsize, "a kernel left numpy's buffer size changed"
 
 
 def check_k_definition(seed: int) -> None:

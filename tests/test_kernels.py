@@ -8,8 +8,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from descattn.kernels import (ShapeError, gelu, half_pixel_centers, layer_norm,
-                              matmul, resample_bilinear, resample_nearest, rng,
-                              stable_softmax_rows)
+                              matmul, mlp, resample_bilinear, resample_nearest,
+                              rng, stable_softmax_rows)
+
+
+def softmax_oracle(m):
+    """The softmax body before the unbuffered long-row path, kept as the bit oracle."""
+    x = m.astype(np.float64)
+    rowmax = np.max(x, axis=-1, keepdims=True)
+    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
+    out = np.subtract(x, rowmax)
+    np.exp(out, out=out)
+    denom = np.sum(out, axis=-1, keepdims=True)
+    denom = np.where(denom > 0.0, denom, 1.0)
+    out /= denom
+    return out.astype(m.dtype, copy=False)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
 
 
 def matmul_oracle(a, b):
@@ -111,6 +128,47 @@ class TestSoftmax:
         # a separate float64 out for a float32 input returns the input dtype
         assert np.array_equal(stable_softmax_rows(m, out=np.empty(m.shape)), expect)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("keys", [64, 256, 257, 783, 2208])
+    def test_long_rows_match_the_oracle_bitwise(self, keys, dtype):
+        gen = rng(keys)
+        m = (gen.standard_normal((2, 7, keys)) * 20).astype(dtype)
+        m[gen.random(m.shape) < 0.2] = -np.inf
+        m[0, 0] = -np.inf                                 # every key masked
+        m[0, 1, ::3] = -np.inf
+        m[1, 0, 5] = np.inf                               # shifts by 0, then inf - inf
+        m[1, 1, :2] = np.inf
+        m[1, 2, 7] = np.nan                               # NaN max and NaN denominator
+        m[1, 3, 1] = np.finfo(dtype).max
+        before = m.copy()
+        with np.errstate(invalid="ignore"):
+            expect = softmax_oracle(m)
+            assert same_bits(stable_softmax_rows(m), expect)
+            assert same_bits(m, before)
+            # the in-place path the attention workspace takes
+            work = m.astype(np.float64)
+            got = stable_softmax_rows(work, out=work)
+        assert got is work
+        assert same_bits(got.astype(dtype), expect)
+        # the guards: an all -inf row is zeros; a +inf max shifts by 0, so the
+        # row is NaN at its +inf keys and 0 elsewhere; a NaN max shifts by 0 and
+        # a NaN denominator divides by 1, so that row is exp(x) itself
+        assert np.all(expect[0, 0] == 0.0)
+        assert np.array_equal(np.isnan(expect[1, 0]), m[1, 0] == np.inf)
+        assert np.all(expect[1, 0][m[1, 0] != np.inf] == 0.0)
+        with np.errstate(over="ignore"):
+            assert same_bits(expect[1, 2], np.exp(m[1, 2].astype(np.float64)).astype(dtype))
+
+    @pytest.mark.parametrize("keys", [8, 300])
+    def test_buffer_size_is_restored(self, keys):
+        before = np.getbufsize()
+        m = rng(15).standard_normal((4, keys))
+        stable_softmax_rows(m)
+        assert np.getbufsize() == before
+        with pytest.raises(ValueError):
+            stable_softmax_rows(m, out=np.empty((4, keys + 1)))
+        assert np.getbufsize() == before
+
 
 class TestLayerNorm:
     def test_constant_row_maps_to_beta(self):
@@ -137,6 +195,40 @@ class TestLayerNorm:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             layer_norm(np.zeros((2, 4)), np.ones(3), np.zeros(3))
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_oracle_bitwise(self, dtype):
+        gen = rng(16)
+        x = gen.standard_normal((3, 40, 32)) * 5
+        x[0] += 1e4 * gen.standard_normal((40, 1))        # large offsets
+        x[1, :7] = 3.7                                     # constant rows, variance 0
+        x = x.astype(dtype)
+        gamma, beta = gen.standard_normal((2, 32)).astype(dtype)
+        x64 = x.astype(np.float64)
+        mean = x64.mean(axis=-1, keepdims=True)
+        var = np.mean((x64 - mean) ** 2, axis=-1, keepdims=True)
+        normed = (x64 - mean) / np.sqrt(var + 1e-6)
+        oracle = (normed * gamma.astype(np.float64) + beta.astype(np.float64)).astype(dtype)
+        assert same_bits(layer_norm(x, gamma, beta), oracle)
+
+
+class TestMlp:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_oracle_bitwise(self, dtype):
+        gen = rng(17)
+        x = (gen.standard_normal((50, 16)) * 3).astype(dtype)
+        x[3] = 0.0
+        x[4] += 1e3
+        w1, b1, w2, b2 = (gen.standard_normal(s).astype(dtype)
+                          for s in ((16, 64), 64, (64, 16), 16))
+        before = x.copy()
+        oracle = matmul(gelu(matmul(x, w1) + b1), w2) + b2
+        got = mlp(x, w1, b1, w2, b2)
+        assert same_bits(got, oracle)
+        assert np.array_equal(x, before)
+        # the float64 weight copies the attention block passes give the same bits
+        assert same_bits(mlp(x, w1.astype(np.float64), b1, w2.astype(np.float64), b2), oracle)
 
 
 class TestGelu:
