@@ -126,6 +126,8 @@ def _compression_flops(cfg: AggregatorConfig, frames: int) -> int:
 
 def flops_attention(cfg: AggregatorConfig, frames: int) -> FlopReport:
     """Exact per-layer FLOP breakdown for the configured mode at ``frames``."""
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
     lay = cfg.layout
     c = lay.channels
     n = lay.tokens_per_frame

@@ -153,7 +153,10 @@ def _value_type(default):
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",") if x != ""]
+    values = [int(x) for x in str(text).split(",") if x != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _checksum(values: np.ndarray) -> str:

@@ -107,10 +107,6 @@ class TokenTensor:
     def with_values(self, values: np.ndarray) -> "TokenTensor":
         return TokenTensor(self.layout, values)
 
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, layout: FrameLayout, frames: int) -> "TokenTensor":
-        return cls(layout, flat.reshape(frames, layout.tokens_per_frame, layout.channels))
-
 
 def generate_synthetic(frames: int, layout: FrameLayout, seed: int,
                        dtype=np.float32) -> TokenTensor:

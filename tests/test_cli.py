@@ -44,6 +44,13 @@ class TestFlops:
         text = (tmp_path / "flops.md").read_text()
         assert text.startswith("| Metric | Mode |")
 
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_frames_below_one_is_usage_error(self, frames, tmp_path, capsys):
+        code = main(["flops", "--frames", frames, "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "invalid configuration: frames must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "flops.csv").exists()
+
 
 class TestBench:
     def test_artifacts_and_schema(self, tmp_path):
@@ -156,6 +163,12 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("frames", ["", ","], ids=["empty", "comma"])
+    def test_empty_list_is_usage_error(self, frames, tmp_path, capsys):
+        assert main(["bench", *TINY, "--frames", frames, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "expected at least one integer" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_invalid_combination_is_usage_error(self, tmp_path, capsys):
         code = main(["flops", "--grid", "4x4", "--ratio", "9",

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from descattn.compression import (BundleCounts, CompressionMethod, DescriptorKind,
-                                  KeyframeSelector, build_bundle,
-                                  bundle_token_counts, compress_frame, lloyd,
-                                  select_keyframes, topk_norm_indices)
+                                  KeyframeSelector, build_bundle, bundle_token_counts,
+                                  compress_frame, select_keyframes, topk_norm_indices)
 from descattn.kernels import rng
 from descattn.tokens import FrameLayout, TokenTensor, generate_synthetic, image_grid_layout
 
@@ -135,12 +134,6 @@ class TestKeyframes:
         a = select_keyframes(t, KeyframeSelector("random", interval=3, seed=5))
         b = select_keyframes(t, KeyframeSelector("random", interval=3, seed=5))
         assert np.array_equal(a, b)
-
-    def test_lloyd_objective_nonincreasing(self):
-        pts = rng(8).standard_normal((60, 5))
-        _, _, history = lloyd(pts, 6)
-        assert len(history) >= 1
-        assert np.all(np.diff(np.asarray(history)) <= 1e-9)
 
 
 class TestBuildBundle:

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from descattn.tokens import (FrameLayout, TokenTensor, generate_synthetic, image_grid_layout,
-                             split_grid)
+from descattn.tokens import FrameLayout, generate_synthetic, image_grid_layout, split_grid
 
 DESK = FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=32)
 
@@ -18,12 +17,6 @@ def test_image_grid_layout_side():
     lay = image_grid_layout(channels=8)
     assert (lay.h, lay.w) == (37, 37)
     assert lay.tokens_per_frame == 37 * 37 + 5
-
-
-def test_k_is_frames_times_tokens():
-    t = generate_synthetic(6, DESK, 0)
-    assert t.total_tokens == 6 * DESK.tokens_per_frame
-    assert t.flat().shape == (t.total_tokens, 32)
 
 
 def test_same_seed_bitwise_identical():
@@ -77,12 +70,6 @@ class TestSplitGrid:
         t = generate_synthetic(2, DESK, 0)
         with pytest.raises(IndexError):
             split_grid(t, 2)
-
-
-def test_flatten_unflatten_roundtrip():
-    t = generate_synthetic(4, DESK, 3)
-    back = TokenTensor.from_flat(t.flat(), DESK, 4)
-    assert np.array_equal(back.values, t.values)
 
 
 def test_token_frames_map():
