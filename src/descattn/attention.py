@@ -7,10 +7,16 @@ scores (1 / sqrt(C / heads)).  The dense global kernel is the exact reference
 the descriptor kernel approximates: with an uncompressed bundle and no
 auxiliaries the two are the same computation.
 
-One private score path (LN1, the Q/K projections, the per-head scaled scores,
-the mask and the row softmax) serves the forward of every kernel, the
-diagnostic ``attention_probabilities`` and the score histogram, so all three
-see the same probabilities bit for bit.  It works on a leading batch axis:
+One private score path (LN1, the Q/K projections, the per-head scaled scores
+and the mask) serves the forward of every kernel, the diagnostic
+``attention_probabilities`` and the score histogram.  The queries are scaled
+by 1 / sqrt(C / heads) once per tile, before the scores, so no pass over a
+score array scales it.  The forward takes ``softmax_numerators`` of each
+head's scores and divides the (q, d) product of those numerators and V by
+the row sums, instead of dividing the (q, K) numerators; the diagnostics
+take ``stable_softmax_rows`` of the same scores, which is those numerators
+divided by those sums, so their probabilities are bitwise the ones the
+forward's context is built from.  The path works on a leading batch axis:
 frame attention is one call with the frames as the batch, and the global
 kernels are one call with a batch of one.
 
@@ -23,10 +29,10 @@ softmax, context, W_o, LN2 and MLP before the next tile starts.  Each row's
 softmax still sees all of its keys, so tiling is exact, and a block of at
 most QUERY_TILE rows is one tile.  One (b, <= QUERY_TILE, K) float64 score
 workspace, allocated once per block call, serves every tile and head, which
-fill and softmax it in place, so a yielded probability array is valid only
-until the next (tile, head).  A block's activation peak is therefore
-O(QUERY_TILE * K), not O(Q * K).  Weights are cast to float64 once per block
-call, not once per tile.
+fill it with scores and run the softmax (or its numerators) in place, so a
+yielded score array is valid only until the next (tile, head).  A block's
+activation peak is therefore O(QUERY_TILE * K), not O(Q * K).  Weights are
+cast to float64 once per block call, not once per tile.
 
 A mask's cuts split the frames into blocks, and a query sees only the keys
 whose provenance frame does not lie past its own block.  With cuts, each
@@ -49,7 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compression import DescriptorBundle
-from .kernels import layer_norm, matmul, mlp, rng, stable_softmax_rows
+from .kernels import (layer_norm, matmul, mlp, rng, softmax_numerators,
+                      stable_softmax_rows)
 from .tokens import TokenTensor
 
 HISTOGRAM_BINS = 64
@@ -193,7 +200,7 @@ def _project(rows: np.ndarray, w64: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
             limits: tuple[np.ndarray, np.ndarray] | None):
-    """The one attention score path, up to the post-softmax probabilities.
+    """The one attention score path, up to the scaled, masked scores.
 
     ``x_q`` is (B, Q, C) and ``kv`` is (B, K, C): batch item b's queries see
     only batch item b's keys.  ``limits`` is ``AttentionMask.limits`` of a
@@ -201,12 +208,14 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     ``_tiles`` it runs LN1 and the K/V projections over the group's keys
     once; then for each query tile of the group it runs LN1 (for
     self-attention, the key rows already normed) and the Q projection on the
-    tile's rows, and yields ((batch slice, query slice), (b, K, C) float64
-    values, heads), where ``heads`` yields each head's (channel slice,
-    (b, q, K) float64 probabilities) in turn.  Every tile and head writes into
-    one (b, <= QUERY_TILE, K) workspace, so a yielded array is valid only
-    until the next (tile, head): finish a tile's heads before asking for the
-    next tile.
+    tile's rows, scales that float64 projection by 1 / sqrt(C / heads) in
+    place, once for all heads, and yields ((batch slice, query slice),
+    (b, K, C) float64 values, heads), where ``heads`` yields each head's
+    (channel slice, (b, q, K) float64 scores) in turn, hidden keys at -inf.
+    Every tile and head writes into one (b, <= QUERY_TILE, K) workspace, which
+    the caller's softmax may overwrite in place, so a yielded array is valid
+    only until the next (tile, head): finish a tile's heads before asking for
+    the next tile.
     """
     if limits is not None:
         ends, key_frames = limits
@@ -215,6 +224,7 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
             warnings.warn(f"{dead} fully masked query rows; "
                           "attention contributes nothing for them", MaskedRowWarning)
     wq, wk, wv = (m.astype(np.float64) for m in (w.wq, w.wk, w.wv))
+    inv_sqrt_d = 1.0 / np.sqrt(w.channels // w.heads)
     groups = _tiles(*x_q.shape[:2])
     largest = x_q[groups[0][0], groups[0][1][0]]
     work = np.empty(largest.shape[:2] + kv.shape[1:2])
@@ -228,36 +238,38 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
             q_in = (_rows(kv_in.reshape(keys.shape)[:, queries]) if kv is x_q
                     else layer_norm(_rows(x), w.ln1_gamma, w.ln1_beta))
             q = _project(q_in, wq, x.shape)
+            q *= inv_sqrt_d
             hidden = None if limits is None else key_frames > ends[queries, None]
-            yield (batch, queries), v, _head_probabilities(
+            yield (batch, queries), v, _head_scores(
                 q, k, w.heads, hidden, work[:x.shape[0], :x.shape[1]])
 
 
-def _head_probabilities(q: np.ndarray, k: np.ndarray, heads: int,
-                        hidden: np.ndarray | None, scores: np.ndarray):
+def _head_scores(q: np.ndarray, k: np.ndarray, heads: int,
+                 hidden: np.ndarray | None, scores: np.ndarray):
     d = q.shape[-1] // heads
-    inv_sqrt_d = 1.0 / np.sqrt(d)
     for lo in range(0, q.shape[-1], d):
         cols = slice(lo, lo + d)
         np.matmul(q[..., cols], k[..., cols].swapaxes(-1, -2), out=scores)
-        scores *= inv_sqrt_d
         if hidden is not None:
             np.copyto(scores, -np.inf, where=hidden)
-        yield cols, stable_softmax_rows(scores, out=scores)
+        yield cols, scores
 
 
 def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
                      limits: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """One full pre-norm block over a batch; queries from x_q (B, Q, C),
     keys/values from kv (B, K, C).  Each query tile runs its scores, context,
-    W_o, LN2 and MLP before the next tile starts."""
+    W_o, LN2 and MLP before the next tile starts.  Each head's context is its
+    softmax numerators times V, divided by the row sums afterwards: a (q, d)
+    divide instead of a (q, K) one."""
     wo, w1, w2 = (m.astype(np.float64) for m in (w.wo, w.w1, w.w2))
     out = np.empty_like(x_q)
     for tile, v, heads in _scores(x_q, kv, w, limits):
         x = x_q[tile]
         ctx = np.empty(x.shape, dtype=np.float64)
-        for cols, probs in heads:
-            ctx[..., cols] = probs @ v[..., cols]
+        for cols, scores in heads:
+            e, denom = softmax_numerators(scores, out=scores)
+            np.divide(e @ v[..., cols], denom, out=ctx[..., cols])
         y = _rows(x) + matmul(_rows(ctx).astype(x.dtype), wo)
         y += mlp(layer_norm(y, w.ln2_gamma, w.ln2_beta), w1, w.b1, w2, w.b2)
         out[tile] = y.reshape(x.shape)
@@ -273,8 +285,8 @@ def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights) ->
     out = np.empty((w.heads, x_q.shape[0], kv.shape[0]))
     for (_, rows), _, heads in _scores(x_q[None], kv[None], w, None):
         # each head is copied out before the next one overwrites the workspace
-        for h, (_, probs) in enumerate(heads):
-            out[h, rows] = probs[0]
+        for h, (_, scores) in enumerate(heads):
+            out[h, rows] = stable_softmax_rows(scores, out=scores)[0]
     return out
 
 
@@ -336,6 +348,6 @@ def attention_score_histogram(t: TokenTensor, w: BlockWeights, mode: str
     counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
     x = t.values if mode == "frame" else t.flat()[None]
     for _, _, heads in _scores(x, x, w, None):
-        for _, probs in heads:
-            counts += np.histogram(probs, bins=edges)[0]
+        for _, scores in heads:
+            counts += np.histogram(stable_softmax_rows(scores, out=scores), bins=edges)[0]
     return counts, edges

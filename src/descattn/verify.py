@@ -26,7 +26,8 @@ from .compression import (COMPRESSION_KINDS, CompressionMethod, DescriptorKind,
                           KeyframeSelector, build_bundle, bundle_token_counts,
                           compress_frame, lloyd, topk_norm_indices)
 from .kernels import (gelu, half_pixel_centers, layer_norm, matmul, mlp,
-                      resample_bilinear, rng, stable_softmax_rows)
+                      resample_bilinear, rng, softmax_numerators,
+                      stable_softmax_rows)
 from .tokens import FrameLayout, TokenTensor, generate_synthetic
 
 _PATCH_ONLY = FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=32)
@@ -77,6 +78,12 @@ def check_kernels_pure(seed: int) -> None:
     # more than 256 keys per row takes the unbuffered softmax path
     wide = 10.0 * rng(seed + 3).standard_normal((5, 300)).astype(np.float32)
     assert np.array_equal(stable_softmax_rows(wide), stable_softmax_rows(wide))
+    for m in (x, wide):
+        before = m.copy()
+        e1, d1 = softmax_numerators(m)
+        e2, d2 = softmax_numerators(m, out=np.empty(m.shape))
+        assert np.array_equal(e1, e2) and np.array_equal(d1, d2), "softmax_numerators"
+        assert np.array_equal(m, before), "softmax_numerators wrote its separate-out input"
     g = rng(seed + 1).standard_normal((6, 6, 3)).astype(np.float32)
     assert np.array_equal(resample_bilinear(g, 3, 3), resample_bilinear(g, 3, 3))
     gamma, beta = rng(seed + 2).standard_normal((2, 8))

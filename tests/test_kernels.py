@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from descattn.kernels import (ShapeError, gelu, half_pixel_centers, layer_norm,
                               matmul, mlp, resample_bilinear, resample_nearest,
-                              rng, stable_softmax_rows)
+                              rng, softmax_numerators, stable_softmax_rows)
 
 
 def softmax_oracle(m):
@@ -102,6 +102,10 @@ class TestSoftmax:
     def test_all_masked_row_is_zero(self):
         p = stable_softmax_rows(np.array([[-np.inf, -np.inf]]))
         assert np.array_equal(p, [[0.0, 0.0]])
+        # zero numerators over a guarded denominator of 1
+        e, denom = softmax_numerators(np.array([[-np.inf, -np.inf], [0.0, 0.0]]))
+        assert np.array_equal(e, [[0.0, 0.0], [1.0, 1.0]])
+        assert np.array_equal(denom, [[1.0], [2.0]])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_is_bitwise(self, dtype):
@@ -142,6 +146,10 @@ class TestSoftmax:
             # the in-place path the attention workspace takes
             work = m.astype(np.float64)
             got = stable_softmax_rows(work, out=work)
+            # the attention forward's numerators and denominators
+            e, denom = softmax_numerators(m)
+            assert same_bits(m, before)
+            assert same_bits((e / denom).astype(dtype), expect)
         assert got is work
         assert same_bits(got.astype(dtype), expect)
         # the guards: an all -inf row is zeros; a +inf max shifts by 0, so the
@@ -157,11 +165,12 @@ class TestSoftmax:
     def test_buffer_size_is_restored(self, keys):
         before = np.getbufsize()
         m = rng(15).standard_normal((4, keys))
-        stable_softmax_rows(m)
-        assert np.getbufsize() == before
-        with pytest.raises(ValueError):
-            stable_softmax_rows(m, out=np.empty((4, keys + 1)))
-        assert np.getbufsize() == before
+        for kernel in (stable_softmax_rows, softmax_numerators):
+            kernel(m)
+            assert np.getbufsize() == before
+            with pytest.raises(ValueError):
+                kernel(m, out=np.empty((4, keys + 1)))
+            assert np.getbufsize() == before
 
 
 class TestLayerNorm:
