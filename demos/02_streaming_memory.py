@@ -21,7 +21,7 @@ base = d.AggregatorConfig(layout=layout, layers=2, global_mode="descriptor",
 cfg = d.StreamConfig(base=base, chunk_size=10, retain_rate=5)
 tokens = d.generate_synthetic(40, layout, seed=9)
 
-out, cache = d.run_stream(tokens, cfg, return_cache=True)
+out, cache = d.run_stream(tokens, cfg)
 report = d.cache_report(cache)
 model = d.memory_model(cfg, tokens.frames)
 
@@ -45,13 +45,13 @@ for frames in (10, 20, 40, 80):
 print("\n-- causality: the future cannot touch the past --")
 bumped = tokens.values.copy()
 bumped[20:] *= -2.0
-out2 = d.run_stream(d.TokenTensor(layout, bumped), cfg)
+out2, _ = d.run_stream(d.TokenTensor(layout, bumped), cfg)
 leak = float(np.max(np.abs(out.values[:20] - out2.values[:20])))
 changed = float(np.max(np.abs(out.values[20:] - out2.values[20:])))
 print(f"  perturbing frames 20..39: first 20 outputs move by {leak:.1e}, "
       f"later outputs by {changed:.2f}")
 
 print("\n-- a single chunk covering everything reproduces the offline pass --")
-one = d.run_stream(tokens, d.StreamConfig(base=base, chunk_size=40, retain_rate=1))
+one, _ = d.run_stream(tokens, d.StreamConfig(base=base, chunk_size=40, retain_rate=1))
 offline = d.forward_offline(tokens, base)
 print(f"  bitwise equal: {np.array_equal(one.values, offline.values)}")

@@ -32,13 +32,15 @@ class AggregatorConfig:
     method: CompressionMethod = CompressionMethod()
     include_aux: bool = True
     selector: KeyframeSelector = KeyframeSelector()
-    mask: AttentionMask = AttentionMask.none()
+    mask: AttentionMask = AttentionMask()
     seed: int = 0
     dtype: type = np.float32
 
     def __post_init__(self):
         if self.layers < 1:
             raise ValueError(f"layer count must be >= 1, got {self.layers}")
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.global_mode not in GLOBAL_MODES:
             raise ValueError(f"global_mode must be one of {GLOBAL_MODES}, "
                              f"got {self.global_mode!r}")

@@ -174,6 +174,8 @@ def memory_model(cfg: StreamConfig, frames: int) -> CacheReport:
     the same record ``cache_report`` reads from a live cache: per layer,
     ceil(S / p) frames of compressed descriptors plus, once a frame has been
     seen with anchors on, the verbatim first frame."""
+    if frames < 0:
+        raise ValueError(f"frames must be >= 0, got {frames}")
     base = cfg.base
     lay = base.layout
     compressed = -(-frames // cfg.retain_rate) * base.method.tokens_per_frame(lay)

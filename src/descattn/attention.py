@@ -88,6 +88,8 @@ class BlockWeights:
 
     def __post_init__(self):
         c = self.wq.shape[0]
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if c % self.heads != 0:
             raise ValueError(f"channels {c} not divisible by heads {self.heads}")
         for name in ("wq", "wk", "wv", "wo"):
@@ -137,10 +139,6 @@ class AttentionMask:
         if any(c <= 0 for c in cuts) or any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise ValueError(f"cuts must be strictly increasing and positive, got {cuts}")
         object.__setattr__(self, "cuts", cuts)
-
-    @classmethod
-    def none(cls) -> "AttentionMask":
-        return cls()
 
     @classmethod
     def frame_causal(cls, frames: int) -> "AttentionMask":
@@ -299,7 +297,7 @@ def frame_attention(t: TokenTensor, w: BlockWeights) -> TokenTensor:
 
 
 def dense_global_attention(t: TokenTensor, w: BlockWeights,
-                           mask: AttentionMask | None = None) -> TokenTensor:
+                           mask: AttentionMask = AttentionMask()) -> TokenTensor:
     """Self-attention over the concatenated K = S * N token sequence.
 
     This is the exact reference that descriptor attention approximates.
@@ -308,7 +306,7 @@ def dense_global_attention(t: TokenTensor, w: BlockWeights,
         raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
     flat = t.flat()[None]
     limits = None
-    if mask is not None and mask.cuts:
+    if mask.cuts:
         frames = t.token_frames()
         limits = mask.limits(frames, frames)
     out = _attention_block(flat, flat, w, limits)
@@ -316,7 +314,7 @@ def dense_global_attention(t: TokenTensor, w: BlockWeights,
 
 
 def descriptor_attention(t: TokenTensor, bundle: DescriptorBundle, w: BlockWeights,
-                         mask: AttentionMask | None = None) -> TokenTensor:
+                         mask: AttentionMask = AttentionMask()) -> TokenTensor:
     """Cross-attention: every full-resolution token queries the descriptor set.
 
     Masks apply through descriptor provenance frames, so anchors copied from
@@ -327,7 +325,7 @@ def descriptor_attention(t: TokenTensor, bundle: DescriptorBundle, w: BlockWeigh
     if w.channels != t.channels:
         raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
     limits = None
-    if mask is not None and mask.cuts:
+    if mask.cuts:
         limits = mask.limits(t.token_frames(), bundle.frames)
     out = _attention_block(t.flat()[None], bundle.descriptors[None], w, limits)
     return t.with_values(out.reshape(t.values.shape))

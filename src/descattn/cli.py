@@ -167,7 +167,7 @@ def _forward(run: RunSpec, mode: str):
     """Run one (configuration, mode); returns (output tokens, stream cache or
     None)."""
     if mode == "stream":
-        return run_stream(run.tokens(), run.stream_config(), return_cache=True)
+        return run_stream(run.tokens(), run.stream_config())
     return forward_offline(run.tokens(), run.aggregator_config(mode)), None
 
 
@@ -245,8 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, allow_abbrev=False, help=text)
         _add_run_flags(p, bench=name == "bench")
         p.add_argument("--out", default=".", type=Path)
-        if name == "flops":
-            p.add_argument("--format", default="csv", choices=("csv", "md"))
         p.add_argument("--config", default=None, type=Path)
     return parser
 
@@ -311,14 +309,13 @@ def _cmd_flops(args) -> int:
         ref = analysis.reference_end_to_end_reduction(run.frames)
         print(f"published end-to-end reduction at S={run.frames}: {ref:.2f}x "
               "(different counting convention; reported, not reconciled)")
-    if args.format == "md":
-        metrics = dict(analysis.REFERENCE_RESOURCES)
-        metrics = {"Time (s)": metrics["time_s"], "PFLOPs": metrics["pflops"],
-                   "Mem (GB)": metrics["memory_gb"],
-                   "analytic FLOPs (this config)": {
-                       "dense": {run.frames: float(dense.total)},
-                       "descriptor": {run.frames: float(desc.total)}}}
-        (args.out / "flops.md").write_text(analysis.markdown_resource_table(metrics))
+    published = analysis.REFERENCE_RESOURCES
+    metrics = {"Time (s)": published["time_s"], "PFLOPs": published["pflops"],
+               "Mem (GB)": published["memory_gb"],
+               "analytic FLOPs (this config)": {
+                   "dense": {run.frames: float(dense.total)},
+                   "descriptor": {run.frames: float(desc.total)}}}
+    (args.out / "flops.md").write_text(analysis.markdown_resource_table(metrics))
     return EXIT_OK
 
 

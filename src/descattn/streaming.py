@@ -132,9 +132,10 @@ def step(chunk: TokenTensor, cache: MemoryCache, cfg: StreamConfig,
 
 
 def run_stream(t: TokenTensor, cfg: StreamConfig,
-               weights: list[LayerWeights] | None = None, *,
-               return_cache: bool = False):
-    """Stream the whole sequence chunk by chunk; outputs keep frame order.
+               weights: list[LayerWeights] | None = None
+               ) -> tuple[TokenTensor, MemoryCache]:
+    """Stream the whole sequence chunk by chunk; returns (outputs in frame
+    order, final cache).
 
     A single chunk covering the full sequence reproduces the offline
     descriptor forward bit for bit.
@@ -150,10 +151,7 @@ def run_stream(t: TokenTensor, cfg: StreamConfig,
         chunk = TokenTensor(t.layout, t.values[start:start + c])
         out, cache = step(chunk, cache, cfg, weights)
         outputs.append(out.values)
-    result = TokenTensor(t.layout, np.concatenate(outputs, axis=0))
-    if return_cache:
-        return result, cache
-    return result
+    return TokenTensor(t.layout, np.concatenate(outputs, axis=0)), cache
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,27 @@
-"""Acceptance suite: one test per gate, each printing a PASS line.
+"""Acceptance suite: one gate per paper claim, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines, or via the CLI ``descattn verify`` for the named invariant checks.
-Tolerances are pinned here and nowhere else.
+lines.  A gate checks only the part of its claim that no ``descattn verify``
+check (``verify.CHECKS``, one pytest id each in ``test_verify.py``), unit
+test or Hypothesis property checks, and names the home of the rest in single
+backticks; ``test_verify.py`` fails if such a name is not a check or a test
+that exists.  Criteria 6 and 7 are checked entirely elsewhere, and their
+numbers stay reserved:
+
+- criterion 6, kernel numerics: `kernels.softmax_rows_sum_to_one`,
+  `kernels.bilinear_exact_on_affine_fields`,
+  `compression.lloyd_objective_nonincreasing`,
+  `test_compression.py::test_avgpool_preserves_global_mean_on_divisible_grid`
+  and `test_compression.py::test_count_and_strict_order`;
+- criterion 7, key-duplication invariance:
+  `attention.key_duplication_invariance`.
+
+Each gate pins its own tolerances inline (oracle 1e-5 float32 / 1e-10
+float64, block-causal streaming 1e-4, causality 1e-6, cache ratio 5%, the
+published figures 0.005).  ``src/descattn/verify.py`` pins the checks'
+tolerances, and each unit test pins its own.
 """
 
-import math
 import time
 from dataclasses import replace
 
@@ -18,12 +34,12 @@ DESK = d.FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=32)
 
 
 def _cfg(layout, *, layers, ratio=1, include_aux=False, seed=0, dtype=np.float32,
-         interval=200, mask=None):
+         interval=200, mask=d.AttentionMask()):
     return d.AggregatorConfig(
         layout=layout, layers=layers, heads=4, global_mode="descriptor",
         method=d.CompressionMethod("bilinear", ratio), include_aux=include_aux,
         selector=d.KeyframeSelector(interval=interval),
-        mask=mask or d.AttentionMask.none(), seed=seed, dtype=dtype)
+        mask=mask, seed=seed, dtype=dtype)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -52,17 +68,10 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_complexity_claim():
-    """Attention-core FLOP ratio is K/K_d exactly; r^2 on pure patch grids;
-    ~14.58x at the production configuration, reported next to the published
-    ~15.76x end-to-end figure (different counting convention)."""
-    for ratio in (1, 2, 4):
-        cfg = _cfg(PATCH_ONLY, layers=1, ratio=ratio)
-        dense = d.flops_attention(cfg.with_mode("dense"), 6)
-        desc = d.flops_attention(cfg, 6)
-        assert dense.attention_core * desc.kd_tokens == \
-            desc.attention_core * desc.k_tokens
-        assert dense.attention_core / desc.attention_core == ratio ** 2
-
+    """The attention core shrinks ~14.58x at the production configuration,
+    reported next to the published ~15.76x end-to-end figure (different
+    counting convention).  That the core ratio is K/K_d exactly, and r^2 on
+    pure patch grids, is `analysis.core_ratio_equals_k_over_kd`."""
     lay = d.image_grid_layout(channels=4)
     cfg = d.AggregatorConfig(layout=lay, layers=1, heads=2,
                              global_mode="descriptor",
@@ -73,6 +82,7 @@ def test_criterion_2_complexity_claim():
     assert (k, kd) == (1374000, 94244)
     assert abs(reduction - 14.58) < 0.005
     published = d.reference_end_to_end_reduction(1000)
+    assert published == 105.61 / 6.70
     assert abs(published - 15.76) < 0.005
     assert published > reduction  # counting conventions differ; both reported
     print(f"\nPASS criterion 2: core reduction K/K_d = {reduction:.2f}x at the "
@@ -81,32 +91,11 @@ def test_criterion_2_complexity_claim():
 
 
 def test_criterion_3_memory_claim():
-    """The live streaming cache record (counts, bytes, ratios) equals the
-    closed form exactly; the reduction ratio hits 1/(p*r^2) on divisible pure
-    patch grids."""
-    lay = d.FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=8)
-    checked = 0
-    for frames in (10, 20, 50):
-        for p in (1, 2, 5):
-            for r in (1, 2, 4):
-                base = d.AggregatorConfig(
-                    layout=lay, layers=1, heads=2, global_mode="descriptor",
-                    method=d.CompressionMethod("bilinear", r), include_aux=False,
-                    seed=p)
-                cfg = d.StreamConfig(base=base, chunk_size=10, retain_rate=p)
-                t = d.generate_synthetic(frames, lay, frames + p + r)
-                _, cache = d.run_stream(t, cfg, return_cache=True)
-                model = d.memory_model(cfg, frames)
-                assert model == d.cache_report(cache), (frames, p, r)
-                for layer in model.layers:
-                    assert layer.compressed_tokens == \
-                        math.ceil(frames / p) * base.method.tokens_per_frame(lay)
-                    assert layer.aux_tokens == 0
-                checked += 1
-    assert checked == 27
-
+    """The live cache's ratio to a full-token cache hits 1/(p*r^2) within 5%
+    at S=50 on divisible pure patch grids.  That the live record equals the
+    closed form is `analysis.memory_model_matches_live_cache` and
+    `test_streaming.py::TestMemoryLaw`."""
     patch8 = d.FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=8)
-    ratios = []
     for p in (1, 2, 5):
         for r in (1, 2, 4):
             base = d.AggregatorConfig(layout=patch8, layers=1, heads=2,
@@ -115,40 +104,34 @@ def test_criterion_3_memory_claim():
                                       include_aux=False)
             cfg = d.StreamConfig(base=base, chunk_size=10, retain_rate=p)
             t = d.generate_synthetic(50, patch8, p * 10 + r)
-            _, cache = d.run_stream(t, cfg, return_cache=True)
+            _, cache = d.run_stream(t, cfg)
             live = d.cache_report(cache).ratio_vs_full
             limit = 1.0 / (p * r * r)
             assert abs(live - limit) / limit <= 0.05, (p, r, live, limit)
-            ratios.append((p, r, live))
-    print(f"\nPASS criterion 3: 27 live cache records equal the closed form; "
-          f"ratio hits 1/(p*r^2) within 5% at S=50 ({len(ratios)} combos)")
+    print("\nPASS criterion 3: live cache ratio hits 1/(p*r^2) within 5% at S=50 "
+          "(9 combos)")
 
 
 def test_criterion_4_streaming_equivalence():
-    """c=S streaming is bitwise offline; chunked streaming with p=1 matches
-    the block-causal offline oracle within 1e-4 (float32, S=12, c=4, L=4)."""
-    base_full = _cfg(DESK, layers=2, ratio=2, include_aux=True, seed=4)
-    t_full = d.generate_synthetic(6, DESK, 40)
-    cfg_full = d.StreamConfig(base=base_full, chunk_size=6, retain_rate=1)
-    streamed = d.run_stream(t_full, cfg_full)
-    offline = d.forward_offline(t_full, base_full)
-    assert np.array_equal(streamed.values, offline.values)
-
+    """Chunked streaming with p=1 matches the block-causal offline oracle
+    within 1e-4 (float32, S=12, c=4, L=4).  That c=S streaming is bitwise
+    offline is `streaming.full_chunk_matches_offline`."""
     base = _cfg(PATCH_ONLY, layers=4, ratio=2, include_aux=False, seed=41)
     t = d.generate_synthetic(12, PATCH_ONLY, 41)
-    chunked = d.run_stream(t, d.StreamConfig(base=base, chunk_size=4,
-                                             retain_rate=1))
+    chunked, _ = d.run_stream(t, d.StreamConfig(base=base, chunk_size=4,
+                                                retain_rate=1))
     oracle = d.forward_offline(t, replace(base, mask=d.AttentionMask.chunked(4, 12)))
     err = float(np.max(np.abs(chunked.values - oracle.values)))
     assert err <= 1e-4, err
-    print(f"\nPASS criterion 4: c=S bitwise; block-causal oracle err {err:.2e} <= 1e-4")
+    print(f"\nPASS criterion 4: block-causal oracle err {err:.2e} <= 1e-4")
 
 
 def test_criterion_5_causality():
-    """Chunk-t outputs are invariant (<=1e-6) to perturbing later chunks, in
-    both block-causal offline modes and streaming.
+    """Under a block-causal mask, chunk-t outputs of the dense and the
+    descriptor stack are invariant (<=1e-6) to perturbing later chunks.
+    Streaming causality is `streaming.causality`.
 
-    Offline runs use the fixed-stride key-frame selector: cluster selection
+    The runs use the fixed-stride key-frame selector: cluster selection
     scans the whole sequence, so its choice may shift when future frames
     change, which is exactly why streaming selects key frames chunk-locally.
     """
@@ -166,74 +149,19 @@ def test_criterion_5_causality():
         a = d.forward_offline(t, cfg)
         b = d.forward_offline(t2, cfg)
         worst = max(worst, float(np.max(np.abs(a.values[:4] - b.values[:4]))))
-
-    base = _cfg(DESK, layers=2, ratio=2, include_aux=True, seed=52)
-    scfg = d.StreamConfig(base=base, chunk_size=4, retain_rate=2)
-    sa = d.run_stream(t, scfg)
-    sb = d.run_stream(t2, scfg)
-    worst = max(worst, float(np.max(np.abs(sa.values[:4] - sb.values[:4]))))
     assert worst <= 1e-6
     print(f"\nPASS criterion 5: causality (worst leak {worst:.2e} <= 1e-6)")
 
 
-def test_criterion_6_kernel_numerics():
-    """Softmax row sums, bilinear exactness on affine fields, mean-preserving
-    average pooling, and k-means bookkeeping."""
-    gen = d.rng(60)
-    x = gen.standard_normal((50, 33)).astype(np.float32) * 30
-    sums = d.stable_softmax_rows(x).sum(axis=-1, dtype=np.float64)
-    assert np.max(np.abs(sums - 1.0)) <= 1e-6
-
-    yy, xx = np.meshgrid(np.arange(12.0), np.arange(9.0), indexing="ij")
-    grid = (0.7 * yy - 1.3 * xx + 0.25)[:, :, None]
-    out = d.resample_bilinear(grid, 5, 3)
-    from descattn.kernels import half_pixel_centers
-    ys, xs = half_pixel_centers(12, 5), half_pixel_centers(9, 3)
-    expect = 0.7 * ys[:, None] - 1.3 * xs[None, :] + 0.25
-    assert np.max(np.abs(out[:, :, 0] - expect)) <= 1e-6
-
-    # integer tokens, power-of-two cells: means are exact in floating point
-    igrid = gen.integers(-9, 9, size=(8, 8, 4)).astype(np.float64)
-    pooled = d.compress_frame(igrid, d.CompressionMethod("avgpool", 2))
-    assert pooled.mean() == igrid.mean()
-
-    pts = gen.standard_normal((80, 5))
-    _, _, history = d.lloyd(pts, 7)
-    assert np.all(np.diff(np.asarray(history)) <= 1e-9)
-    for frames, interval in ((1, 1), (7, 3), (50, 7), (9, 100)):
-        t = d.generate_synthetic(frames, d.FrameLayout(h=2, w=2, n_camera=0,
-                                                       n_register=0, channels=4),
-                                 frames)
-        for method in ("cluster", "random", "fixed_stride"):
-            picks = d.select_keyframes(t, d.KeyframeSelector(method, interval))
-            assert len(picks) == math.ceil(frames / interval)
-    print("\nPASS criterion 6: kernel numerics (softmax, bilinear, avgpool, k-means)")
-
-
-def test_criterion_7_key_duplication_invariance():
-    """Duplicating every key/value leaves cross-attention unchanged (<=1e-6),
-    which is what lets compressed and verbatim anchor copies coexist."""
-    t = d.generate_synthetic(4, DESK, 70)
-    w = d.init_block_weights(71, 32, 4)
-    bundle = d.build_bundle(t, d.CompressionMethod("bilinear", 2),
-                            d.KeyframeSelector(interval=2), True)
-    out = d.descriptor_attention(t, bundle, w)
-    doubled = d.descriptor_attention(t, bundle.concat(bundle), w)
-    err = float(np.max(np.abs(out.values - doubled.values)))
-    assert err <= 1e-6
-    print(f"\nPASS criterion 7: key-duplication invariance (err {err:.2e} <= 1e-6)")
-
-
 def test_criterion_8_determinism(tmp_path):
-    """Identical config and seed give bitwise-identical outputs, offline,
-    streaming, and across two CLI sweeps."""
+    """Identical config and seed give bitwise-identical outputs, streaming
+    and across two CLI sweeps.  Offline determinism in both modes is
+    `aggregator.bitwise_determinism`."""
     cfg = _cfg(DESK, layers=2, ratio=2, include_aux=True, seed=80)
     t = d.generate_synthetic(5, DESK, 81)
-    assert np.array_equal(d.forward_offline(t, cfg).values,
-                          d.forward_offline(t, cfg).values)
     scfg = d.StreamConfig(base=cfg, chunk_size=2, retain_rate=2)
-    assert np.array_equal(d.run_stream(t, scfg).values,
-                          d.run_stream(t, scfg).values)
+    assert np.array_equal(d.run_stream(t, scfg)[0].values,
+                          d.run_stream(t, scfg)[0].values)
 
     from descattn.cli import main
     import csv as _csv
@@ -248,7 +176,7 @@ def test_criterion_8_determinism(tmp_path):
                     for r in _csv.DictReader(fh)]
 
     assert sums(tmp_path / "a" / "sweep.csv") == sums(tmp_path / "b" / "sweep.csv")
-    print("\nPASS criterion 8: bitwise determinism, offline, streaming and CLI")
+    print("\nPASS criterion 8: bitwise determinism, streaming and CLI")
 
 
 def test_criterion_9_performance_sanity():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from descattn.aggregator import AggregatorConfig, forward_offline, init_weights
-from descattn.attention import descriptor_attention, dense_global_attention, frame_attention
+from descattn.attention import (dense_global_attention, descriptor_attention, frame_attention,
+                                init_block_weights)
 from descattn.compression import CompressionMethod, KeyframeSelector, build_bundle
 from descattn.tokens import FrameLayout, generate_synthetic
 
@@ -141,6 +142,11 @@ class TestStackStructure:
             AggregatorConfig(layout=DESK, method=CompressionMethod("bilinear", 9))
         with pytest.raises(ValueError, match="global_mode"):
             AggregatorConfig(layout=DESK, global_mode="sparse")
+        for heads in (0, -1):
+            with pytest.raises(ValueError, match="heads must be >= 1"):
+                AggregatorConfig(layout=DESK, heads=heads)
+            with pytest.raises(ValueError, match="heads must be >= 1"):
+                init_block_weights(0, 32, heads)
 
 
 class TestDeterminism:

@@ -3,13 +3,12 @@
 import pytest
 
 from descattn.aggregator import AggregatorConfig
-from descattn.analysis import (REFERENCE_RESOURCES, attention_core_reduction,
-                               compare_modes, divergence, flops_attention,
-                               markdown_resource_table, memory_model,
-                               reference_end_to_end_reduction)
+from descattn.analysis import (REFERENCE_RESOURCES, compare_modes, divergence,
+                               flops_attention, markdown_resource_table,
+                               memory_model)
 from descattn.compression import CompressionMethod, KeyframeSelector
 from descattn.streaming import MemoryCache, StreamConfig, cache_report, run_stream
-from descattn.tokens import FrameLayout, generate_synthetic, image_grid_layout
+from descattn.tokens import FrameLayout, generate_synthetic
 
 PATCH_ONLY = FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=32)
 DESK = FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=32)
@@ -24,30 +23,6 @@ def cfg_with(layout=DESK, ratio=4, include_aux=True, interval=200, **kw):
 
 
 class TestFlops:
-    def test_ratio_one_aux_off_matches_dense_core(self):
-        cfg = cfg_with(layout=PATCH_ONLY, ratio=1, include_aux=False)
-        dense = flops_attention(cfg.with_mode("dense"), 6)
-        desc = flops_attention(cfg, 6)
-        assert dense.attention_core == desc.attention_core
-
-    def test_square_reduction_on_pure_patch_grids(self):
-        for ratio in (1, 2, 4):
-            cfg = cfg_with(layout=PATCH_ONLY, ratio=ratio, include_aux=False)
-            reduction, k, kd = attention_core_reduction(cfg, 4)
-            assert reduction == ratio ** 2
-            assert k == kd * ratio ** 2
-
-    def test_reference_end_to_end_reduction_reported_alongside(self):
-        ref = reference_end_to_end_reduction(1000)
-        assert abs(ref - 105.61 / 6.70) < 1e-12
-        assert abs(ref - 15.76) < 0.005
-        # exceeds the attention-core bound: the published counting convention
-        # differs, so the two figures are reported side by side, not reconciled
-        lay = image_grid_layout(channels=4)
-        core, _, _ = attention_core_reduction(
-            cfg_with(layout=lay, layers=1, heads=2), 1000)
-        assert ref > core
-
     def test_totals_are_sum_of_parts(self):
         report = flops_attention(cfg_with(layers=3), 7)
         assert report.per_layer_total == sum(report.components.values())
@@ -88,7 +63,7 @@ class TestMemoryModel:
         base = cfg_with(ratio=4, include_aux=True, layers=2, seed=3)
         cfg = StreamConfig(base=base, chunk_size=5, retain_rate=5)
         t = generate_synthetic(10, DESK, 4)
-        _, cache = run_stream(t, cfg, return_cache=True)
+        _, cache = run_stream(t, cfg)
         model = memory_model(cfg, 10)
         assert [layer.aux_tokens for layer in model.layers] == [DESK.tokens_per_frame] * 2
         assert model == cache_report(cache)
@@ -99,6 +74,8 @@ class TestMemoryModel:
         model = memory_model(cfg, 0)
         assert model == cache_report(MemoryCache.empty(cfg))
         assert model.total_tokens == 0 and model.ratio_vs_full == 0.0
+        with pytest.raises(ValueError, match="frames must be >= 0"):
+            memory_model(cfg, -1)
 
     def test_exact_asymptote_on_divisible_patch_grid(self):
         base = cfg_with(layout=PATCH_ONLY, ratio=4, include_aux=False)
@@ -108,14 +85,6 @@ class TestMemoryModel:
 
 
 class TestCompareModes:
-    def test_uncompressed_error_is_oracle_level(self):
-        cfg = cfg_with(layout=PATCH_ONLY, ratio=1, include_aux=False, seed=5)
-        t = generate_synthetic(3, PATCH_ONLY, 6)
-        report = compare_modes(t, cfg)
-        assert report.final_max <= 1e-5
-        assert all(mx >= mn >= 0.0 for mx, mn in
-                   zip(report.per_layer_max, report.per_layer_mean))
-
     def test_self_divergence_is_zero(self):
         t = generate_synthetic(2, DESK, 7)
         assert divergence(t, t) == (0.0, 0.0)

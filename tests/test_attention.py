@@ -146,7 +146,7 @@ class TestMasks:
     def test_mask_none_sees_everything(self):
         t = generate_synthetic(2, DESK, 8)
         w = init_block_weights(2, 32, 4)
-        a = dense_global_attention(t, w, AttentionMask.none())
+        a = dense_global_attention(t, w, AttentionMask())
         b = dense_global_attention(t, w)
         assert np.array_equal(a.values, b.values)
 

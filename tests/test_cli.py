@@ -39,7 +39,7 @@ class TestFlops:
         assert {r["mode"] for r in rows} == {"dense", "descriptor"}
 
     def test_markdown_table_written(self, tmp_path):
-        code = main(["flops", *TINY, "--format", "md", "--out", str(tmp_path)])
+        code = main(["flops", *TINY, "--out", str(tmp_path)])
         assert code == EXIT_OK
         text = (tmp_path / "flops.md").read_text()
         assert text.startswith("| Metric | Mode |")
@@ -152,14 +152,12 @@ class TestStreamAndHistogram:
 
 
 class TestExitCodes:
-    def test_unknown_flag_is_usage_error(self):
+    def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["bench", "--bogus"]) == EXIT_USAGE
-
-    @pytest.mark.parametrize("command", ["bench", "stream", "histogram"])
-    def test_format_is_a_flops_flag_only(self, command, tmp_path):
-        # only flops has a markdown output for --format to select
-        assert main([command, *TINY, "--format", "md",
-                     "--out", str(tmp_path)]) == EXIT_USAGE
+        # flops always writes both of its tables, so no subcommand takes --format
+        for command in ("bench", "flops", "stream", "histogram"):
+            assert main([command, *TINY, "--format", "md",
+                         "--out", str(tmp_path)]) == EXIT_USAGE, command
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -175,6 +173,13 @@ class TestExitCodes:
                      "--channels", "16", "--heads", "2", "--out", str(tmp_path)])
         assert code == EXIT_USAGE
         assert "invalid" in capsys.readouterr().err
+        for command in ("flops", "stream", "histogram"):
+            for heads in ("0", "-1"):
+                code = main([command, "--heads", heads, "--out", str(tmp_path)])
+                assert code == EXIT_USAGE, (command, heads)
+                assert "invalid configuration: heads must be >= 1" in \
+                    capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_out_dir_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "file.txt"

@@ -44,7 +44,7 @@ class TestStep:
         base = desc_base(include_aux=False, ratio=4, layers=1, seed=3)
         cfg = StreamConfig(base=base, chunk_size=4, retain_rate=5)
         t = generate_synthetic(12, DESK, 4)
-        _, cache = run_stream(t, cfg, return_cache=True)
+        _, cache = run_stream(t, cfg)
         retained_frames = sorted(set(cache.layers[0].frames.tolist()))
         assert retained_frames == [0, 5, 10]
 
@@ -86,7 +86,7 @@ class TestDegenerateChunking:
         base = desc_base(seed=9)
         t = generate_synthetic(3, DESK, 9)
         cfg = StreamConfig(base=base, chunk_size=10, retain_rate=2)
-        streamed = run_stream(t, cfg)
+        streamed, _ = run_stream(t, cfg)
         out, _ = step(t, MemoryCache.empty(cfg), cfg, init_weights(base))
         assert np.array_equal(streamed.values, out.values)
 
@@ -110,6 +110,8 @@ class TestMemoryLaw:
     @example((12, 4, 5, 4, "bilinear", False, 2, 8), np.float32)
     @example((20, 4, 5, 4, "bilinear", False, 2, 12), np.float32)
     @example((7, 3, 2, 2, "avgpool", True, 2, 3), np.float64)
+    @example((50, 10, 1, 4, "bilinear", False, 1, 40), np.float32)
+    @example((50, 10, 2, 2, "bilinear", False, 1, 40), np.float32)
     def test_law_causality_and_full_chunk(self, case, dtype):
         frames, chunk, p, r, kind, aux, layers, boundary = case
         base = AggregatorConfig(layout=SMALL, layers=layers, heads=2,
@@ -119,7 +121,7 @@ class TestMemoryLaw:
                                 dtype=dtype)
         cfg = StreamConfig(base=base, chunk_size=chunk, retain_rate=p)
         t = generate_synthetic(frames, SMALL, 100 + frames, dtype=dtype)
-        out, cache = run_stream(t, cfg, return_cache=True)
+        out, cache = run_stream(t, cfg)
 
         # the memory law: the live record (tokens, bytes, ratios) is the closed form's
         model = memory_model(cfg, frames)
@@ -133,7 +135,7 @@ class TestMemoryLaw:
         if boundary < frames:
             bumped = t.values.copy()
             bumped[boundary:] *= -3.0
-            out2 = run_stream(TokenTensor(SMALL, bumped), cfg)
+            out2, _ = run_stream(TokenTensor(SMALL, bumped), cfg)
             assert np.array_equal(out.values[:boundary], out2.values[:boundary])
             assert not np.array_equal(out.values[boundary:], out2.values[boundary:])
 
@@ -145,7 +147,7 @@ class TestMemoryLaw:
         base = desc_base(include_aux=True, ratio=4, layers=1, seed=17)
         cfg = StreamConfig(base=base, chunk_size=2, retain_rate=2)
         t = generate_synthetic(6, DESK, 18)
-        _, cache = run_stream(t, cfg, return_cache=True)
+        _, cache = run_stream(t, cfg)
         store = cache.layers[0]
         first = store.kinds == int(DescriptorKind.FIRST_FRAME_PATCH)
         assert first.sum() == DESK.tokens_per_frame
@@ -159,7 +161,7 @@ class TestMemoryLaw:
         # first frame as a second first-frame group
         keys_seen = []
 
-        def recording(t, keys, w, mask=None):
+        def recording(t, keys, w, mask=AttentionMask()):
             keys_seen.append(keys)
             return descriptor_attention(t, keys, w, mask)
 
@@ -188,7 +190,7 @@ class TestCacheReport:
         base = desc_base(include_aux=False, ratio=4, layers=2, seed=23)
         cfg = StreamConfig(base=base, chunk_size=5, retain_rate=5)
         t = generate_synthetic(20, DESK, 24)
-        _, cache = run_stream(t, cfg, return_cache=True)
+        _, cache = run_stream(t, cfg)
         report = cache_report(cache)
         expect = (4 * 4) / (20 * 69)
         assert abs(report.ratio_vs_full - expect) < 1e-12
@@ -198,14 +200,14 @@ class TestCacheReport:
         base = desc_base(include_aux=False, ratio=1, layers=1, seed=25)
         cfg = StreamConfig(base=base, chunk_size=4, retain_rate=1)
         t = generate_synthetic(4, DESK, 26)
-        _, cache = run_stream(t, cfg, return_cache=True)
+        _, cache = run_stream(t, cfg)
         assert cache_report(cache).ratio_vs_full <= 1.0
 
     def test_csv_shape(self):
         base = desc_base(layers=3, seed=27)
         cfg = StreamConfig(base=base, chunk_size=2, retain_rate=2)
         t = generate_synthetic(4, DESK, 28)
-        _, cache = run_stream(t, cfg, return_cache=True)
+        _, cache = run_stream(t, cfg)
         text = cache_report(cache).to_csv()
         lines = [ln for ln in text.strip().splitlines() if ln]
         assert len(lines) == 1 + 3
