@@ -40,8 +40,8 @@ for ratio in (1, 2, 4, 8):
 print("\n-- anchors keep full-resolution references in the key set --")
 full = d.FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=32)
 t2 = d.generate_synthetic(6, full, seed=7)
-bundle = d.build_bundle(t2, d.CompressionMethod("bilinear", 4),
-                        d.KeyframeSelector("cluster", interval=3), include_aux=True)
+keyframes = d.select_keyframes(t2, d.KeyframeSelector("cluster", interval=3))
+bundle = d.build_bundle(t2, d.CompressionMethod("bilinear", 4), keyframes)
 kinds = {k.name.lower(): int(np.sum(bundle.kinds == int(k))) for k in d.DescriptorKind}
 print(f"  bundle of {bundle.count} descriptors: {kinds}")
 print("  (the first frame appears compressed AND verbatim; softmax tolerates"

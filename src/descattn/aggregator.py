@@ -113,8 +113,7 @@ def forward_offline(t: TokenTensor, cfg: AggregatorConfig,
         if cfg.global_mode == "dense":
             x = dense_global_attention(x, lw.global_, cfg.mask)
         else:
-            bundle = build_bundle(x, cfg.method, cfg.selector, cfg.include_aux,
-                                  keyframes=keyframes)
+            bundle = build_bundle(x, cfg.method, keyframes)
             x = descriptor_attention(x, bundle, lw.global_, cfg.mask)
         if layer_outputs is not None:
             layer_outputs.append(x)

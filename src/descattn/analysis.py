@@ -147,7 +147,7 @@ def flops_attention(cfg: AggregatorConfig, frames: int) -> FlopReport:
         comp["global.compression"] = 0
     else:
         counts = bundle_token_counts(frames, lay, cfg.method,
-                                     cfg.selector.interval, cfg.include_aux)
+                                     cfg.selector if cfg.include_aux else None)
         kd = counts.total
         comp["global.qkvo"] = 2 * 2 * k * c * c + 2 * 2 * kd * c * c
         comp["global.compression"] = _compression_flops(cfg, frames)
@@ -219,18 +219,16 @@ def compare_modes(t: TokenTensor, cfg: AggregatorConfig) -> ErrorReport:
     return ErrorReport(tuple(maxes), tuple(means))
 
 
-def markdown_resource_table(metrics: dict[str, dict[str, dict[int, float]]],
-                            s_values: list[int] | None = None) -> str:
+def markdown_resource_table(metrics: dict[str, dict[str, dict[int, float]]]) -> str:
     """Render metric x mode rows against sequence-length columns.
 
-    ``metrics`` maps metric label -> mode -> {frames: value}; missing cells
-    render as '-'.  The row structure (one metric per band, one mode per row)
-    matches the published resource-consumption tables.
+    ``metrics`` maps metric label -> mode -> {frames: value}; the columns are
+    the sorted union of every given frame count, and missing cells render as
+    '-'.  The row structure (one metric per band, one mode per row) matches
+    the published resource-consumption tables.
     """
-    if s_values is None:
-        seen = sorted({s for modes in metrics.values()
+    s_values = sorted({s for modes in metrics.values()
                        for vals in modes.values() for s in vals})
-        s_values = seen
     header = "| Metric | Mode | " + " | ".join(str(s) for s in s_values) + " |"
     sep = "|---" * (len(s_values) + 2) + "|"
     lines = [header, sep]

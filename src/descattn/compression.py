@@ -7,12 +7,14 @@ A descriptor bundle for a sequence holds, in this fixed order:
 3. all tokens of the first frame (verbatim);
 4. all tokens of each selected key frame, in frame order (verbatim).
 
-Groups 2-4 are the auxiliary anchors and only appear when requested.  Every
-descriptor carries provenance: its source frame and its kind.  Masks read the
-frame, and streaming retention reads both.  Tokens may legitimately appear
-twice (the first frame contributes both a compressed and a verbatim copy);
-the kind keeps the copies distinguishable and cross-attention tolerates
-duplicates.
+Groups 2-4 are the auxiliary anchors.  They appear only when the caller
+passes key-frame indices (selected once, by ``select_keyframes``), and group 3
+only in the bundle whose frame offset is 0, the one that holds the stream's
+frame 0.  Every descriptor carries provenance: its source frame and its kind.
+Masks read the frame, and streaming retention reads both.  Tokens may
+legitimately appear twice (the first frame contributes both a compressed and a
+verbatim copy); the kind keeps the copies distinguishable and cross-attention
+tolerates duplicates.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .tokens import FrameLayout, TokenTensor, split_grid
 
 COMPRESSION_KINDS = ("bilinear", "nearest", "avgpool", "topk_norm", "learned_conv")
 KEYFRAME_METHODS = ("cluster", "random", "fixed_stride")
+LLOYD_MAX_ITER = 100
 
 
 class DescriptorKind(enum.IntEnum):
@@ -98,14 +101,13 @@ class BundleCounts(NamedTuple):
 
 
 def bundle_token_counts(frames: int, layout: FrameLayout, method: CompressionMethod,
-                        interval: int, include_aux: bool) -> BundleCounts:
+                        selector: KeyframeSelector | None) -> BundleCounts:
+    """Counts of a frame-offset-0 bundle; anchors only with a selector."""
     compressed = frames * method.tokens_per_frame(layout)
-    if not include_aux:
+    if selector is None:
         return BundleCounts(compressed, 0, 0, 0)
     n = layout.tokens_per_frame
-    special = frames * layout.n_special
-    key = math.ceil(frames / interval) * n
-    return BundleCounts(compressed, special, n, key)
+    return BundleCounts(compressed, frames * layout.n_special, n, selector.count(frames) * n)
 
 
 def topk_norm_indices(tokens: np.ndarray, budget: int) -> np.ndarray:
@@ -176,13 +178,12 @@ def compress_frame(grid: np.ndarray, method: CompressionMethod) -> np.ndarray:
     return out.reshape(-1, c)
 
 
-def lloyd(points: np.ndarray, k: int, max_iter: int = 100
-          ) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def lloyd(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Deterministic Lloyd iterations with evenly strided initial centroids.
 
     Returns (assignments, centroids, objective history), where the objective
     is the sum of squared distances to the assigned centroid, recorded after
-    each assignment step.  Runs to an assignment fixpoint or ``max_iter``.
+    each assignment step.  Runs to an assignment fixpoint or ``LLOYD_MAX_ITER``.
     Empty clusters keep their previous centroid.
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -192,7 +193,7 @@ def lloyd(points: np.ndarray, k: int, max_iter: int = 100
     centroids = pts[[(i * n) // k for i in range(k)]].copy()
     assign = np.full(n, -1, dtype=np.intp)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), new_assign].sum()))
@@ -287,21 +288,27 @@ class DescriptorBundle:
 
 
 def build_bundle(t: TokenTensor, method: CompressionMethod,
-                 sel: KeyframeSelector | None = None,
-                 include_aux: bool = True, *,
-                 keyframes: np.ndarray | None = None,
-                 include_first_frame: bool = True,
+                 keyframes: np.ndarray | None = None, *,
                  frame_offset: int = 0) -> DescriptorBundle:
-    """Assemble the descriptor bundle for a whole sequence.
+    """Assemble the descriptor bundle of ``t``, whose frame 0 is frame
+    ``frame_offset`` of a longer stream (provenance is shifted into that
+    numbering).
 
-    ``keyframes`` overrides selection (used when the caller selects once and
-    reuses the indices across layers).  ``include_first_frame`` lets streaming
-    suppress the first-frame group on chunks that do not contain the stream's
-    first frame; ``frame_offset`` shifts provenance frame indices into the
-    global numbering of a longer stream.
+    The anchors (groups 2-4) appear only when ``keyframes`` is given, and the
+    first-frame group only when ``frame_offset`` is 0.  ``keyframes`` must be a
+    1-D integer array, strictly increasing, inside [0, S); anything else raises
+    ``ValueError``.
     """
     lay = t.layout
     s, n, c = t.frames, lay.tokens_per_frame, lay.channels
+    if keyframes is not None:
+        keyframes = np.asarray(keyframes)
+        if not (keyframes.ndim == 1 and np.issubdtype(keyframes.dtype, np.integer)
+                and np.all(np.diff(keyframes) > 0)
+                and np.all((keyframes >= 0) & (keyframes < s))):
+            raise ValueError(f"key frames must be a strictly increasing 1-D integer "
+                             f"array inside [0, {s}), got {keyframes!r}")
+        keyframes = keyframes.astype(np.int32)
     per_frame = method.tokens_per_frame(lay)
     # one (tokens, frames, kinds) triple per block, in bundle order
     blocks = [(np.concatenate([compress_frame(split_grid(t, f)[1], method)
@@ -309,18 +316,15 @@ def build_bundle(t: TokenTensor, method: CompressionMethod,
                np.repeat(np.arange(s, dtype=np.int32), per_frame),
                np.full(s * per_frame, DescriptorKind.COMPRESSED, dtype=np.int8))]
 
-    if include_aux:
+    if keyframes is not None:
         special = np.repeat(np.array([DescriptorKind.CAMERA, DescriptorKind.REGISTER],
                                      dtype=np.int8), [lay.n_camera, lay.n_register])
         blocks.append((t.values[:, :lay.n_special].reshape(-1, c),
                        np.repeat(np.arange(s, dtype=np.int32), lay.n_special),
                        np.tile(special, s)))
-        if include_first_frame:
+        if frame_offset == 0:
             blocks.append((t.values[0], np.zeros(n, dtype=np.int32),
                            np.full(n, DescriptorKind.FIRST_FRAME_PATCH, dtype=np.int8)))
-        if keyframes is None:
-            keyframes = select_keyframes(t, sel or KeyframeSelector())
-        keyframes = np.asarray(keyframes, dtype=np.int32)
         blocks.append((t.values[keyframes].reshape(-1, c), np.repeat(keyframes, n),
                        np.full(keyframes.size * n, DescriptorKind.KEYFRAME_PATCH,
                                dtype=np.int8)))

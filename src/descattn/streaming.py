@@ -8,8 +8,8 @@ are never updated.  After the chunk, the memory grows by the chunk's
 compressed descriptors from frames whose *global* index is a multiple of the
 retain rate p (frame 0 of the stream is therefore always kept, regardless of
 chunk size), plus, once, the verbatim first-frame tokens when auxiliaries
-are enabled.  Camera/register and key-frame anchors are chunk-local and are
-never retained.
+are enabled: only the first chunk's bundle, at frame offset 0, holds them.
+Camera/register and key-frame anchors are chunk-local and are never retained.
 
 Memory grows sublinearly: per layer, compressed tokens number exactly
 ceil(frames_seen / p) * floor(H/r) * floor(W/r).  With p = 1 the retained key
@@ -74,17 +74,13 @@ class MemoryCache:
                        for _ in range(base.layers))
         return cls(layout=base.layout, layers=stores)
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
 
-
-def _retained_subset(bundle: DescriptorBundle, retain_rate: int,
-                     persist_first: bool) -> DescriptorBundle:
-    keep = (bundle.kinds == int(DescriptorKind.COMPRESSED)) \
-        & (bundle.frames % retain_rate == 0)
-    if persist_first:
-        keep = keep | (bundle.kinds == int(DescriptorKind.FIRST_FRAME_PATCH))
+def _retained_subset(bundle: DescriptorBundle, retain_rate: int) -> DescriptorBundle:
+    """Compressed descriptors of every p-th global frame, plus the first-frame
+    group, which only the bundle at frame offset 0 holds, so it is kept once."""
+    keep = ((bundle.kinds == int(DescriptorKind.COMPRESSED))
+            & (bundle.frames % retain_rate == 0)) \
+        | (bundle.kinds == int(DescriptorKind.FIRST_FRAME_PATCH))
     subset = bundle.select(keep)
     order = np.argsort(subset.frames, kind="stable")
     return subset.select(order)
@@ -100,31 +96,25 @@ def step(chunk: TokenTensor, cache: MemoryCache, cfg: StreamConfig,
     base = cfg.base
     if chunk.frames > cfg.chunk_size:
         raise ValueError(f"chunk has {chunk.frames} frames, limit is {cfg.chunk_size}")
-    if chunk.layout != cache.layout or cache.depth != base.layers:
+    if chunk.layout != cache.layout or len(cache.layers) != base.layers:
         raise ValueError("cache layout/depth inconsistent with the stream config")
     check_dtype(chunk, base)
     if weights is None:
         weights = init_weights(base)
 
     offset = cache.frames_seen
-    first_chunk = offset == 0
     keyframes = None
     if base.include_aux:
         keyframes = select_keyframes(chunk, base.selector)
-    persist_now = base.include_aux and first_chunk
 
     x = chunk
     new_stores = []
     for lw, store in zip(weights, cache.layers):
         x = frame_attention(x, lw.frame)
-        bundle = build_bundle(x, base.method, base.selector, base.include_aux,
-                              keyframes=keyframes,
-                              include_first_frame=first_chunk,
-                              frame_offset=offset)
+        bundle = build_bundle(x, base.method, keyframes, frame_offset=offset)
         keys = store.concat(bundle)
         x = descriptor_attention(x, keys, lw.global_)
-        new_stores.append(store.concat(
-            _retained_subset(bundle, cfg.retain_rate, persist_now)))
+        new_stores.append(store.concat(_retained_subset(bundle, cfg.retain_rate)))
 
     new_cache = MemoryCache(layout=cache.layout, layers=tuple(new_stores),
                             frames_seen=offset + chunk.frames)

@@ -24,7 +24,8 @@ from .attention import (AttentionMask, attention_probabilities,
                         frame_attention, init_block_weights)
 from .compression import (COMPRESSION_KINDS, CompressionMethod, DescriptorKind,
                           KeyframeSelector, build_bundle, bundle_token_counts,
-                          compress_frame, lloyd, topk_norm_indices)
+                          compress_frame, lloyd, select_keyframes,
+                          topk_norm_indices)
 from .kernels import (gelu, half_pixel_centers, layer_norm, matmul, mlp,
                       resample_bilinear, rng, softmax_numerators,
                       stable_softmax_rows)
@@ -147,9 +148,9 @@ def check_topk_order(seed: int) -> None:
 def check_kind_counts(seed: int) -> None:
     t = generate_synthetic(10, _DESK, seed)
     method, selector = CompressionMethod("bilinear", 4), KeyframeSelector(interval=3)
-    b = build_bundle(t, method, selector, True)
+    b = build_bundle(t, method, select_keyframes(t, selector))
     kinds = np.bincount(b.kinds, minlength=len(DescriptorKind))
-    expect = bundle_token_counts(t.frames, _DESK, method, selector.interval, True)
+    expect = bundle_token_counts(t.frames, _DESK, method, selector)
     assert kinds[DescriptorKind.COMPRESSED] == expect.compressed, (kinds, expect)
     assert kinds[DescriptorKind.CAMERA] + kinds[DescriptorKind.REGISTER] == expect.special
     assert kinds[DescriptorKind.FIRST_FRAME_PATCH] == expect.first_frame, (kinds, expect)
@@ -161,7 +162,7 @@ def check_oracle_equivalence(seed: int) -> None:
         t = generate_synthetic(4, _PATCH_ONLY, seed, dtype=dtype)
         w = init_block_weights(seed + 7, 32, 4, dtype)
         dense = dense_global_attention(t, w)
-        bundle = build_bundle(t, CompressionMethod("bilinear", 1), include_aux=False)
+        bundle = build_bundle(t, CompressionMethod("bilinear", 1))
         desc = descriptor_attention(t, bundle, w)
         assert np.max(np.abs(dense.values - desc.values)) <= tol
 
@@ -171,7 +172,7 @@ def check_key_duplication(seed: int) -> None:
     w = init_block_weights(seed + 1, 32, 4)
     # interval 2 picks two key frames, so key-frame anchors are duplicated too
     bundle = build_bundle(t, CompressionMethod("bilinear", 2),
-                          KeyframeSelector(interval=2), True)
+                          select_keyframes(t, KeyframeSelector(interval=2)))
     doubled = bundle.concat(bundle)
     a = descriptor_attention(t, bundle, w)
     b = descriptor_attention(t, doubled, w)
@@ -197,7 +198,8 @@ def check_probability_rows(seed: int) -> None:
     t = generate_synthetic(2, _DESK, seed)
     w = init_block_weights(seed + 3, 32, 4)
     flat = t.flat()
-    bundle = build_bundle(t, CompressionMethod("bilinear", 2), KeyframeSelector(), True)
+    bundle = build_bundle(t, CompressionMethod("bilinear", 2),
+                          select_keyframes(t, KeyframeSelector()))
     for keys in (flat, bundle.descriptors):
         probs = attention_probabilities(flat, keys, w)
         assert probs.shape == (w.heads, len(flat), len(keys))
@@ -223,11 +225,13 @@ def check_bundles_differ_across_layers(seed: int) -> None:
     cfg = _desc_cfg(seed=seed)
     t = generate_synthetic(3, _DESK, seed)
     weights = init_weights(cfg)
+    # key frames are selected once from the stack input, as forward_offline does
+    keyframes = select_keyframes(t, cfg.selector)
     x1 = frame_attention(t, weights[0].frame)
-    b1 = build_bundle(x1, cfg.method, cfg.selector, True)
+    b1 = build_bundle(x1, cfg.method, keyframes)
     x2 = frame_attention(descriptor_attention(x1, b1, weights[0].global_),
                          weights[1].frame)
-    b2 = build_bundle(x2, cfg.method, cfg.selector, True)
+    b2 = build_bundle(x2, cfg.method, keyframes)
     assert not np.array_equal(b1.descriptors, b2.descriptors)
 
 

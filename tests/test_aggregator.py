@@ -12,7 +12,8 @@ import pytest
 from descattn.aggregator import AggregatorConfig, forward_offline, init_weights
 from descattn.attention import (dense_global_attention, descriptor_attention, frame_attention,
                                 init_block_weights)
-from descattn.compression import CompressionMethod, KeyframeSelector, build_bundle
+from descattn.compression import (CompressionMethod, KeyframeSelector, build_bundle,
+                                  select_keyframes)
 from descattn.tokens import FrameLayout, generate_synthetic
 
 PATCH_ONLY = FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=32)
@@ -109,12 +110,9 @@ class TestStackStructure:
                                seed=3)
         t = generate_synthetic(2, DESK, 4)
         w = init_weights(cfg)
-        from descattn.compression import select_keyframes
         kf = select_keyframes(t, cfg.selector)
         x = frame_attention(t, w[0].frame)
-        manual = descriptor_attention(
-            x, build_bundle(x, cfg.method, cfg.selector, True, keyframes=kf),
-            w[0].global_)
+        manual = descriptor_attention(x, build_bundle(x, cfg.method, kf), w[0].global_)
         auto = forward_offline(t, cfg, w)
         assert np.array_equal(auto.values, manual.values)
 

@@ -7,7 +7,7 @@ from descattn.analysis import (REFERENCE_RESOURCES, compare_modes, divergence,
                                flops_attention, markdown_resource_table,
                                memory_model)
 from descattn.compression import CompressionMethod, KeyframeSelector
-from descattn.streaming import MemoryCache, StreamConfig, cache_report, run_stream
+from descattn.streaming import MemoryCache, StreamConfig, cache_report
 from descattn.tokens import FrameLayout, generate_synthetic
 
 PATCH_ONLY = FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=32)
@@ -59,15 +59,6 @@ class TestMemoryModel:
         cfg = StreamConfig(base=base, chunk_size=10, retain_rate=5)
         assert cfg.drop_ratio_limit == 1.0 / 80.0
 
-    def test_matches_live_cache_with_persisted_first_frame(self):
-        base = cfg_with(ratio=4, include_aux=True, layers=2, seed=3)
-        cfg = StreamConfig(base=base, chunk_size=5, retain_rate=5)
-        t = generate_synthetic(10, DESK, 4)
-        _, cache = run_stream(t, cfg)
-        model = memory_model(cfg, 10)
-        assert [layer.aux_tokens for layer in model.layers] == [DESK.tokens_per_frame] * 2
-        assert model == cache_report(cache)
-
     @pytest.mark.parametrize("include_aux", [True, False], ids=["aux", "no_aux"])
     def test_no_frames_matches_empty_cache(self, include_aux):
         cfg = StreamConfig(base=cfg_with(include_aux=include_aux))
@@ -105,9 +96,10 @@ class TestCompareModes:
 
 
 def test_markdown_table_structure():
-    table = markdown_resource_table({
-        "PFLOPs": REFERENCE_RESOURCES["pflops"]}, s_values=[200, 1000, 1200])
+    # the columns are the sorted union of both modes' frame counts; the dense
+    # column stops at 1000, so its 1200 cell is '-'
+    table = markdown_resource_table({"PFLOPs": REFERENCE_RESOURCES["pflops"]})
     lines = table.strip().splitlines()
-    assert lines[0].startswith("| Metric | Mode | 200 | 1000 | 1200 |")
+    assert lines[0] == "| Metric | Mode | 200 | 400 | 600 | 800 | 1000 | 1200 |"
     assert any("| PFLOPs | dense |" in ln and ln.endswith("- |") for ln in lines)
     assert any("| PFLOPs | descriptor |" in ln for ln in lines)

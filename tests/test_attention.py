@@ -15,7 +15,8 @@ from descattn.attention import (AttentionMask, BlockWeights, MaskedRowWarning,
                                 attention_probabilities, attention_score_histogram,
                                 dense_global_attention, descriptor_attention,
                                 frame_attention, init_block_weights)
-from descattn.compression import CompressionMethod, KeyframeSelector, build_bundle
+from descattn.compression import (CompressionMethod, KeyframeSelector, build_bundle,
+                                  select_keyframes)
 from descattn.kernels import layer_norm, rng, softmax_numerators
 from descattn.tokens import FrameLayout, TokenTensor, generate_synthetic
 
@@ -166,8 +167,7 @@ class TestMasks:
     def test_fully_masked_row_warns_and_passes_residual(self):
         t = generate_synthetic(2, DESK, 9)
         sub = TokenTensor(DESK, t.values[1:])
-        bundle = build_bundle(sub, CompressionMethod("bilinear", 4),
-                              include_aux=False, frame_offset=1)
+        bundle = build_bundle(sub, CompressionMethod("bilinear", 4), frame_offset=1)
         with pytest.warns(MaskedRowWarning):
             out = descriptor_attention(t, bundle, init_block_weights(1, 32, 4),
                                        AttentionMask.frame_causal(2))
@@ -175,7 +175,7 @@ class TestMasks:
 
     def test_negative_provenance_rejected_under_mask(self):
         t = generate_synthetic(2, DESK, 9)
-        bundle = build_bundle(t, CompressionMethod("bilinear", 4), include_aux=False)
+        bundle = build_bundle(t, CompressionMethod("bilinear", 4))
         bad = replace(bundle, frames=bundle.frames - 5)
         with pytest.raises(ValueError, match="provenance"):
             descriptor_attention(t, bad, init_block_weights(1, 32, 4),
@@ -202,7 +202,7 @@ class TestDescriptorOracle:
         t = generate_synthetic(2, DESK, 1)
         lay16 = FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=16)
         other = generate_synthetic(2, lay16, 1)
-        bundle = build_bundle(other, CompressionMethod("bilinear", 4), include_aux=False)
+        bundle = build_bundle(other, CompressionMethod("bilinear", 4))
         with pytest.raises(ValueError, match="channels"):
             descriptor_attention(t, bundle, init_block_weights(1, 32, 4))
 
@@ -226,7 +226,7 @@ class TestOneScorePath:
             kv = t.flat()
         else:
             bundle = build_bundle(t, CompressionMethod("bilinear", 2),
-                                  KeyframeSelector(interval=2), True)
+                                  select_keyframes(t, KeyframeSelector(interval=2)))
             descriptor_attention(t, bundle, w)
             kv = bundle.descriptors
         # the forward divides only after P·V; its probabilities are e / denom,
@@ -275,7 +275,7 @@ class TestQueryTiles:
         t = generate_synthetic(12, DESK, 32, dtype=dtype)
         x = t.flat()[None, :q]
         bundle = build_bundle(t, CompressionMethod("bilinear", 2),
-                              KeyframeSelector(interval=4), True)
+                              select_keyframes(t, KeyframeSelector(interval=4)))
         kv = bundle.descriptors[None]
         w = init_block_weights(33, 32, 4, dtype)
         whole = attention._attention_block(x, kv, w, None)

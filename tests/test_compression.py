@@ -142,7 +142,7 @@ class TestBuildBundle:
     def test_aux_off_count(self):
         lay = FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=8)
         t = generate_synthetic(2, lay, 0)
-        b = build_bundle(t, CompressionMethod("bilinear", 4), include_aux=False)
+        b = build_bundle(t, CompressionMethod("bilinear", 4))
         assert b.count == 2 * 4
         assert np.all(b.kinds == int(DescriptorKind.COMPRESSED))
 
@@ -152,20 +152,19 @@ class TestBuildBundle:
         t = generate_synthetic(1000, lay, 1)
         method = CompressionMethod("bilinear", 4)
         sel = KeyframeSelector("fixed_stride", interval=200)
-        b = build_bundle(t, method, sel, include_aux=True)
+        b = build_bundle(t, method, select_keyframes(t, sel))
         n = lay.tokens_per_frame
         assert n == 1374
         expect = 1000 * 81 + 1000 * 5 + n + 5 * n
         assert expect == 94244
         assert b.count == expect
-        counts = bundle_token_counts(1000, lay, method, 200, True)
+        counts = bundle_token_counts(1000, lay, method, sel)
         assert counts == BundleCounts(81000, 5000, 1374, 6870)
         assert counts.total == b.count
 
     def test_block_ordering(self):
         t = generate_synthetic(3, DESK, 2)
-        b = build_bundle(t, CompressionMethod("bilinear", 4),
-                         KeyframeSelector("fixed_stride", interval=2), True)
+        b = build_bundle(t, CompressionMethod("bilinear", 4), np.array([0, 2]))
         kinds = b.kinds
         n_comp = 3 * 4
         n_spec = 3 * 5
@@ -181,8 +180,7 @@ class TestBuildBundle:
 
     def test_first_frame_appears_twice_with_distinct_provenance(self):
         t = generate_synthetic(2, DESK, 4)
-        b = build_bundle(t, CompressionMethod("bilinear", 8),
-                         KeyframeSelector("fixed_stride", interval=200), True)
+        b = build_bundle(t, CompressionMethod("bilinear", 8), np.array([0]))
         frame0 = b.frames == 0
         kinds0 = set(b.kinds[frame0])
         assert int(DescriptorKind.COMPRESSED) in kinds0
@@ -194,24 +192,25 @@ class TestBuildBundle:
     def test_provenance_is_a_partition(self):
         t = generate_synthetic(4, DESK, 5)
         b = build_bundle(t, CompressionMethod("nearest", 2),
-                         KeyframeSelector(interval=3), True)
+                         select_keyframes(t, KeyframeSelector(interval=3)))
         assert b.frames.shape == (b.count,)
         assert b.kinds.shape == (b.count,)
 
     def test_verbatim_copies_are_uncompressed(self):
         t = generate_synthetic(3, DESK, 6)
-        b = build_bundle(t, CompressionMethod("avgpool", 4),
-                         KeyframeSelector("fixed_stride", interval=2), True)
+        b = build_bundle(t, CompressionMethod("avgpool", 4), np.array([0, 2]))
         cam = (b.kinds == int(DescriptorKind.CAMERA)) & (b.frames == 1)
         assert np.array_equal(b.descriptors[cam], t.values[1, :1])
 
     @pytest.mark.parametrize("kind", ["nearest", "topk_norm"])
     @pytest.mark.parametrize("first", [True, False])
     def test_matches_per_frame_assembly(self, kind, first):
-        # reference: the bundle appended one frame at a time, block by block
+        # reference: the bundle appended one frame at a time, block by block;
+        # only the bundle at frame offset 0 holds the first-frame group
         lay = FrameLayout(h=9, w=7, n_camera=2, n_register=1, channels=6)
         t = generate_synthetic(5, lay, 8, dtype=np.float64)
-        method, offset, keys = CompressionMethod(kind, 2), 13, np.array([1, 4])
+        method, keys = CompressionMethod(kind, 2), np.array([1, 4])
+        offset = 0 if first else 13
         parts = []
         for f in range(5):
             grid = t.values[f, 3:].reshape(9, 7, 6)
@@ -223,8 +222,7 @@ class TestBuildBundle:
             parts.append((t.values[0], 0, [DescriptorKind.FIRST_FRAME_PATCH] * 66))
         for f in keys:
             parts.append((t.values[f], f, [DescriptorKind.KEYFRAME_PATCH] * 66))
-        b = build_bundle(t, method, keyframes=keys, include_first_frame=first,
-                         frame_offset=offset)
+        b = build_bundle(t, method, keys, frame_offset=offset)
         assert np.array_equal(b.descriptors, np.concatenate([p[0] for p in parts]))
         assert np.array_equal(b.frames, np.concatenate(
             [np.full(len(p[0]), p[1] + offset) for p in parts]))
@@ -234,6 +232,14 @@ class TestBuildBundle:
 
     def test_frame_offset_shifts_provenance(self):
         t = generate_synthetic(2, DESK, 7)
-        b = build_bundle(t, CompressionMethod("bilinear", 4), include_aux=False,
-                         frame_offset=10)
+        b = build_bundle(t, CompressionMethod("bilinear", 4), frame_offset=10)
         assert set(b.frames) == {10, 11}
+
+    @pytest.mark.parametrize("keys", [[-1], [2, 2], [3], [1.0], [[1]]],
+                             ids=["negative", "repeated", "out_of_range", "float", "2d"])
+    def test_bad_keyframes_rejected(self, keys):
+        # unchecked, -1 would wrap to the last frame, a repeat would add its
+        # tokens twice, and index 3 of 3 frames would raise a bare IndexError
+        t = generate_synthetic(3, DESK, 9)
+        with pytest.raises(ValueError, match="key frames"):
+            build_bundle(t, CompressionMethod("bilinear", 4), keys)

@@ -32,14 +32,6 @@ def desc_base(layout=DESK, ratio=2, include_aux=True, layers=2, seed=0,
 
 
 class TestStep:
-    def test_first_chunk_equals_offline_on_that_chunk(self):
-        base = desc_base(seed=1)
-        cfg = StreamConfig(base=base, chunk_size=4, retain_rate=2)
-        t = generate_synthetic(4, DESK, 2)
-        out, _ = step(t, MemoryCache.empty(cfg), cfg, init_weights(base))
-        offline = forward_offline(t, base)
-        assert np.max(np.abs(out.values - offline.values)) <= 1e-6
-
     def test_retained_frames_follow_global_modulo(self):
         base = desc_base(include_aux=False, ratio=4, layers=1, seed=3)
         cfg = StreamConfig(base=base, chunk_size=4, retain_rate=5)
