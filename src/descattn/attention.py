@@ -20,19 +20,43 @@ forward's context is built from.  The path works on a leading batch axis:
 frame attention is one call with the frames as the batch, and the global
 kernels are one call with a batch of one.
 
-Every block is query-tiled, with no untiled path.  Frame attention tiles by
-whole frames (QUERY_TILE // N of them, at least one) and the global kernels
-by runs of at most QUERY_TILE query rows.  LN1 and the K/V projections run
-once over the keys a tile group shares (a group of frames, or the whole key
-set of a global block); then each tile runs its Q projection, scores,
-softmax, context, W_o, LN2 and MLP before the next tile starts.  Each row's
-softmax still sees all of its keys, so tiling is exact, and a block of at
-most QUERY_TILE rows is one tile.  One (b, <= QUERY_TILE, K) float64 score
-workspace, allocated once per block call, serves every tile and head, which
-fill it with scores and run the softmax (or its numerators) in place, so a
-yielded score array is valid only until the next (tile, head).  A block's
-activation peak is therefore O(QUERY_TILE * K), not O(Q * K).  Weights are
-cast to float64 once per block call, not once per tile.
+Every block is query-tiled, with no untiled path, and runs its tiles on W
+workers: one per CPU this process may run on, and at most two, the most that
+has been measured.  Frame attention tiles by whole frames (QUERY_TILE // N
+of them, at least one) and the global kernels by runs of at most
+QUERY_TILE // W query rows.  LN1 and the K/V projections run once, on the calling
+thread, over the keys a tile group shares (a group of frames, or the whole
+key set of a global block).  The group's tiles are then dealt round-robin,
+tile i to worker i mod W: the calling thread is worker 0, and one
+module-level pool of _MAX_WORKERS - 1 threads, made on first use, runs the
+others.  A worker runs a tile's Q projection, scores, softmax and context
+before its next tile starts, and writes only that tile's rows of the output,
+so the output does not depend on scheduling.  Once every worker of a group
+has stopped, the calling thread runs W_o, LN2 and the MLP over the group in
+QUERY_TILE-row tiles, whatever W is; no MLP temporary then overlaps another
+worker's, so a block's allocation peak does not depend on thread timing,
+and only the attention core of a tile sees W.  Each worker's
+share runs in a copy of the calling thread's context, so numpy's
+``errstate`` and buffer size reach the pool threads, and a worker's
+exception is raised in the caller once every share has stopped.  A group
+with one tile (a block of at most QUERY_TILE // W rows, or a frame group of
+N <= QUERY_TILE // W) runs on the calling thread alone, and with W = 1 there
+is no pool.  Each row's softmax still sees all of its keys, so tiling is
+exact.  Each worker owns one (b, <= QUERY_TILE // W, K) float64 score
+workspace, allocated once per block call, which its tiles and heads fill
+with scores and run the softmax (or its numerators) in place, so a yielded
+score array is valid only until that worker's next (tile, head).  The
+workspaces hold at most b * QUERY_TILE * K elements together, so a block's
+activation peak stays O(QUERY_TILE * K), not O(Q * K).  Weights are cast to
+float64 once per block call, not once per tile.  The diagnostics
+(``attention_probabilities``, the histogram) take the same score path on the
+calling thread alone, with QUERY_TILE-row tiles.
+
+Float64 outputs may differ by ulps across W: the BLAS picks its kernel by
+operand size, and a (256, K) @ (K, d) product need not equal its two 128-row
+halves bitwise.  A float32 forward rounds those ulps away: the check
+``attention.worker_count_invariance`` holds three forwards bitwise equal at
+W = 1 and W = 2.
 
 A mask's cuts split the frames into blocks, and a query sees only the keys
 whose provenance frame does not lie past its own block.  With cuts, each
@@ -49,7 +73,11 @@ token content and masks.
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,8 +88,14 @@ from .kernels import (layer_norm, matmul, mlp, rng, softmax_numerators,
 from .tokens import TokenTensor
 
 HISTOGRAM_BINS = 64
-# Query rows per tile: a block's score workspace is (b, <= QUERY_TILE, K).
+# Query rows per tile: a block's score workspaces total (b, <= QUERY_TILE, K).
 QUERY_TILE = 256
+# Workers per block, the calling thread included: one per usable CPU, up to
+# _MAX_WORKERS, the most measured for speed and for float32 outputs equal to
+# one worker's (ROADMAP, "Threads over query tiles").
+_MAX_WORKERS = 2
+_WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 class MaskedRowWarning(RuntimeWarning):
@@ -176,18 +210,20 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
-def _tiles(batch: int, queries: int) -> list[tuple[slice, list[slice]]]:
+def _tiles(batch: int, queries: int, workers: int = 1) -> list[tuple[slice, list[slice]]]:
     """The query tiles of a block, grouped by the batch items whose keys
     they share: (batch slice, query slices) per group, in order.
 
     A group holds as many whole batch items as fit in QUERY_TILE query rows,
-    and at least one; an item with more queries than that is split into runs
-    of QUERY_TILE rows.  A tile is a group's batch slice with one of its query
-    slices, so it holds at most QUERY_TILE rows, and the first is the largest.
+    and at least one; an item with more queries than QUERY_TILE // workers is
+    split into runs of that many rows, so each of ``workers`` workers can take
+    a share of a group's runs.  A tile is a group's batch slice with one of
+    its query slices, so it holds at most QUERY_TILE rows, and the first is
+    the largest.
     """
     per = max(1, QUERY_TILE // max(queries, 1))
-    runs = [slice(lo, min(lo + QUERY_TILE, queries))
-            for lo in range(0, queries, QUERY_TILE)]
+    rows = QUERY_TILE // workers
+    runs = [slice(lo, min(lo + rows, queries)) for lo in range(0, queries, rows)]
     return [(slice(lo, min(lo + per, batch)), runs) for lo in range(0, batch, per)]
 
 
@@ -197,23 +233,27 @@ def _project(rows: np.ndarray, w64: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
-            limits: tuple[np.ndarray, np.ndarray] | None):
+            limits: tuple[np.ndarray, np.ndarray] | None, workers: int = 1):
     """The one attention score path, up to the scaled, masked scores.
 
     ``x_q`` is (B, Q, C) and ``kv`` is (B, K, C): batch item b's queries see
     only batch item b's keys.  ``limits`` is ``AttentionMask.limits`` of a
     batch of one, or None when every key is visible.  For each group of
-    ``_tiles`` it runs LN1 and the K/V projections over the group's keys
-    once; then for each query tile of the group it runs LN1 (for
-    self-attention, the key rows already normed) and the Q projection on the
-    tile's rows, scales that float64 projection by 1 / sqrt(C / heads) in
-    place, once for all heads, and yields ((batch slice, query slice),
-    (b, K, C) float64 values, heads), where ``heads`` yields each head's
+    ``_tiles(B, Q, workers)`` it runs LN1 and the K/V projections over the
+    group's keys once and yields (batch slice, (b, K, C) float64 values,
+    shares).  The group's query runs are dealt round-robin into the shares,
+    run i to share i mod ``workers``, leaving out empty shares.  A share is a
+    generator of its tiles: for each it runs LN1 (for self-attention, the key
+    rows already normed) and the Q projection on the tile's rows, scales that
+    float64 projection by 1 / sqrt(C / heads) in place, once for all heads,
+    and yields (query slice, heads), where ``heads`` yields each head's
     (channel slice, (b, q, K) float64 scores) in turn, hidden keys at -inf.
-    Every tile and head writes into one (b, <= QUERY_TILE, K) workspace, which
-    the caller's softmax may overwrite in place, so a yielded array is valid
-    only until the next (tile, head): finish a tile's heads before asking for
-    the next tile.
+    Share i writes every tile and head into its own (b, <= QUERY_TILE //
+    workers, K) workspace, allocated once per call, which the caller's softmax
+    may overwrite in place, so a yielded array is valid only until that
+    share's next (tile, head): finish a tile's heads before asking the share
+    for its next tile.  Shares of one group may run on different threads at
+    once; a share runs in the context of whichever thread iterates it.
     """
     if limits is not None:
         ends, key_frames = limits
@@ -223,23 +263,29 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
                           "attention contributes nothing for them", MaskedRowWarning)
     wq, wk, wv = (m.astype(np.float64) for m in (w.wq, w.wk, w.wv))
     inv_sqrt_d = 1.0 / np.sqrt(w.channels // w.heads)
-    groups = _tiles(*x_q.shape[:2])
+    groups = _tiles(*x_q.shape[:2], workers)
     largest = x_q[groups[0][0], groups[0][1][0]]
-    work = np.empty(largest.shape[:2] + kv.shape[1:2])
+    works = [np.empty(largest.shape[:2] + kv.shape[1:2])
+             for _ in range(min(workers, len(groups[0][1])))]
+
+    def share(batch, runs, kv_in, k, work):
+        for queries in runs:
+            x = x_q[batch, queries]
+            q_in = (_rows(kv_in.reshape(k.shape)[:, queries]) if kv is x_q
+                    else layer_norm(_rows(x), w.ln1_gamma, w.ln1_beta))
+            q = _project(q_in, wq, x.shape)
+            q *= inv_sqrt_d
+            hidden = None if limits is None else key_frames > ends[queries, None]
+            yield queries, _head_scores(q, k, w.heads, hidden,
+                                        work[:x.shape[0], :x.shape[1]])
+
     for batch, runs in groups:
         keys = kv[batch]
         kv_in = layer_norm(_rows(keys), w.ln1_gamma, w.ln1_beta)
         k = _project(kv_in, wk, keys.shape)
         v = _project(kv_in, wv, keys.shape)
-        for queries in runs:
-            x = x_q[batch, queries]
-            q_in = (_rows(kv_in.reshape(keys.shape)[:, queries]) if kv is x_q
-                    else layer_norm(_rows(x), w.ln1_gamma, w.ln1_beta))
-            q = _project(q_in, wq, x.shape)
-            q *= inv_sqrt_d
-            hidden = None if limits is None else key_frames > ends[queries, None]
-            yield (batch, queries), v, _head_scores(
-                q, k, w.heads, hidden, work[:x.shape[0], :x.shape[1]])
+        yield batch, v, [share(batch, runs[i::workers], kv_in, k, work)
+                         for i, work in enumerate(works)]
 
 
 def _head_scores(q: np.ndarray, k: np.ndarray, heads: int,
@@ -253,24 +299,62 @@ def _head_scores(q: np.ndarray, k: np.ndarray, heads: int,
         yield cols, scores
 
 
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The one pool of worker threads, made on first use."""
+    return ThreadPoolExecutor(_MAX_WORKERS - 1, thread_name_prefix="descattn-tiles")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's pool threads; it makes its own pool
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _run_shares(calls: list) -> None:
+    """Run calls[0] on this thread and the others on the pool, each in a copy
+    of this thread's context (numpy keeps ``errstate`` and its buffer size
+    there); wait for all of them, then raise the first failure.  A single call
+    runs here and never touches the pool."""
+    futures = [_pool().submit(contextvars.copy_context().run, call)
+               for call in calls[1:]]
+    try:
+        calls[0]()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
                      limits: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """One full pre-norm block over a batch; queries from x_q (B, Q, C),
-    keys/values from kv (B, K, C).  Each query tile runs its scores, context,
-    W_o, LN2 and MLP before the next tile starts.  Each head's context is its
-    softmax numerators times V, divided by the row sums afterwards: a (q, d)
-    divide instead of a (q, K) one."""
+    keys/values from kv (B, K, C).  A group's workers write each tile's
+    context, rounded to x_q's dtype, into that tile's rows of the output;
+    once all have stopped, the calling thread runs W_o, the residual, LN2 and
+    the MLP over the group in QUERY_TILE-row tiles, as one worker would, and
+    writes the block's output over those rows.  So the MLP's temporaries
+    never overlap another worker's, and the block's allocation peak does not
+    depend on thread timing.  Each head's context is its softmax numerators
+    times V, divided by the row sums afterwards: a (q, d) divide instead of a
+    (q, K) one."""
     wo, w1, w2 = (m.astype(np.float64) for m in (w.wo, w.w1, w.w2))
     out = np.empty_like(x_q)
-    for tile, v, heads in _scores(x_q, kv, w, limits):
-        x = x_q[tile]
-        ctx = np.empty(x.shape, dtype=np.float64)
-        for cols, scores in heads:
-            e, denom = softmax_numerators(scores, out=scores)
-            np.divide(e @ v[..., cols], denom, out=ctx[..., cols])
-        y = _rows(x) + matmul(_rows(ctx).astype(x.dtype), wo)
-        y += mlp(layer_norm(y, w.ln2_gamma, w.ln2_beta), w1, w.b1, w2, w.b2)
-        out[tile] = y.reshape(x.shape)
+
+    def attend(batch, v, share):
+        for queries, heads in share:
+            ctx = np.empty(x_q[batch, queries].shape, dtype=np.float64)
+            for cols, scores in heads:
+                e, denom = softmax_numerators(scores, out=scores)
+                np.divide(e @ v[..., cols], denom, out=ctx[..., cols])
+            out[batch, queries] = ctx
+
+    for batch, v, shares in _scores(x_q, kv, w, limits, _WORKERS):
+        _run_shares([functools.partial(attend, batch, v, share) for share in shares])
+        for lo in range(0, x_q.shape[1], QUERY_TILE):
+            tile = (batch, slice(lo, lo + QUERY_TILE))
+            y = _rows(x_q[tile]) + matmul(_rows(out[tile]), wo)
+            y += mlp(layer_norm(y, w.ln2_gamma, w.ln2_beta), w1, w.b1, w2, w.b2)
+            out[tile] = y.reshape(out[tile].shape)
     return out
 
 
@@ -281,10 +365,11 @@ def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights) ->
     Diagnostic path: materializes every head, so keep inputs desk-scale.
     """
     out = np.empty((w.heads, x_q.shape[0], kv.shape[0]))
-    for (_, rows), _, heads in _scores(x_q[None], kv[None], w, None):
-        # each head is copied out before the next one overwrites the workspace
-        for h, (_, scores) in enumerate(heads):
-            out[h, rows] = stable_softmax_rows(scores, out=scores)[0]
+    for _, _, (share,) in _scores(x_q[None], kv[None], w, None):
+        for rows, heads in share:
+            # each head is copied out before the next one overwrites the workspace
+            for h, (_, scores) in enumerate(heads):
+                out[h, rows] = stable_softmax_rows(scores, out=scores)[0]
     return out
 
 
@@ -345,7 +430,9 @@ def attention_score_histogram(t: TokenTensor, w: BlockWeights, mode: str
     edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
     x = t.values if mode == "frame" else t.flat()[None]
-    for _, _, heads in _scores(x, x, w, None):
-        for _, scores in heads:
-            counts += np.histogram(stable_softmax_rows(scores, out=scores), bins=edges)[0]
+    for _, _, (share,) in _scores(x, x, w, None):
+        for _, heads in share:
+            for _, scores in heads:
+                counts += np.histogram(stable_softmax_rows(scores, out=scores),
+                                       bins=edges)[0]
     return counts, edges

@@ -296,11 +296,13 @@ def build_bundle(t: TokenTensor, method: CompressionMethod,
 
     The anchors (groups 2-4) appear only when ``keyframes`` is given, and the
     first-frame group only when ``frame_offset`` is 0.  ``keyframes`` must be a
-    1-D integer array, strictly increasing, inside [0, S); anything else raises
-    ``ValueError``.
+    1-D integer array, strictly increasing, inside [0, S), and ``frame_offset``
+    must be >= 0; anything else raises ``ValueError``.
     """
     lay = t.layout
     s, n, c = t.frames, lay.tokens_per_frame, lay.channels
+    if frame_offset < 0:
+        raise ValueError(f"frame_offset must be >= 0, got {frame_offset}")
     if keyframes is not None:
         keyframes = np.asarray(keyframes)
         if not (keyframes.ndim == 1 and np.issubdtype(keyframes.dtype, np.integer)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, streaming
+from . import analysis, attention, streaming
 from .aggregator import AggregatorConfig, forward_offline, init_weights
 from .attention import (AttentionMask, attention_probabilities,
                         dense_global_attention, descriptor_attention,
@@ -192,6 +192,34 @@ def check_masked_independence(seed: int) -> None:
         out = dense_global_attention(TokenTensor(t.layout, bumped), w, mask)
         assert np.max(np.abs(out.values[0] - base.values[0])) <= 1e-6, scale
         assert not np.allclose(out.values[1:], base.values[1:]), "bump had no effect"
+
+
+def check_worker_count_invariance(seed: int) -> None:
+    """One worker and two give the same float32 bits.  Two workers deal
+    128-row query tiles round-robin to this thread and a pool thread,
+    whatever the CPU count; one runs 256-row tiles here."""
+    t = generate_synthetic(8, _DESK, seed)
+    assert t.total_tokens > 2 * attention.QUERY_TILE
+    stream = streaming.StreamConfig(base=_desc_cfg(seed=seed), chunk_size=3)
+    passes = {
+        # cuts at rows 207 and 345 fall inside tiles at both tile heights
+        "dense": lambda: forward_offline(t, _desc_cfg(
+            seed=seed, mask=AttentionMask((3, 5))).with_mode("dense")),
+        "descriptor": lambda: forward_offline(t, _desc_cfg(seed=seed)),
+        # three chunks of 207, 207 and 138 queries
+        "stream": lambda: streaming.run_stream(t, stream)[0],
+    }
+    saved = attention._WORKERS
+    try:
+        for name, run in passes.items():
+            outs = []
+            for workers in (1, 2):
+                attention._WORKERS = workers
+                outs.append(run().values)
+            assert outs[0].dtype == np.float32, name
+            assert np.array_equal(outs[0], outs[1]), name
+    finally:
+        attention._WORKERS = saved
 
 
 def check_probability_rows(seed: int) -> None:
@@ -374,6 +402,7 @@ CHECKS = [
     ("attention.key_duplication_invariance", check_key_duplication),
     ("attention.masked_independence", check_masked_independence),
     ("attention.probability_rows_sum_to_one", check_probability_rows),
+    ("attention.worker_count_invariance", check_worker_count_invariance),
     ("aggregator.mode_equivalence_per_layer", check_mode_equivalence_layers),
     ("aggregator.bundles_differ_across_layers", check_bundles_differ_across_layers),
     ("aggregator.bitwise_determinism", check_aggregator_determinism),

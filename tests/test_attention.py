@@ -2,6 +2,10 @@
 one score path, the score workspace, query tiles and the score histogram."""
 
 import math
+import os
+import signal
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -220,6 +224,8 @@ class TestOneScorePath:
             seen.append((e.copy(), denom.copy()))
             return e, denom
 
+        # one worker keeps the record in tile order
+        monkeypatch.setattr(attention, "_WORKERS", 1)
         monkeypatch.setattr(attention, "softmax_numerators", recording)
         if mode == "dense":
             dense_global_attention(t, w)
@@ -238,34 +244,40 @@ class TestOneScorePath:
 
 
 class TestScoreWorkspace:
-    def test_dense_peak_is_about_one_score_matrix(self):
-        # one (1, <= QUERY_TILE, K) float64 workspace serves every tile and
-        # head; the softmax runs inside it, so no (K, K) array is ever alive
+    def test_dense_peak_is_about_one_score_matrix(self, monkeypatch):
+        # each of W workers owns one (1, <= QUERY_TILE // W, K) float64
+        # workspace for all its tiles and heads; the softmax runs inside it,
+        # so no (K, K) array is ever alive
         t = generate_synthetic(16, DESK, 28)
         w = init_block_weights(29, 32, 4)
         k = t.total_tokens
         assert k == 1104
-        tracemalloc.start()
-        try:
-            dense_global_attention(t, w)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < k * k * 8
+        for workers in (1, 2):
+            monkeypatch.setattr(attention, "_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                dense_global_attention(t, w)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < k * k * 8, workers
 
 
 class TestQueryTiles:
     @pytest.mark.parametrize("batch,queries", [(1, 785), (32, 69), (5, 300), (3, 256)])
     def test_tiles_cover_every_query_once(self, batch, queries):
-        seen = np.zeros((batch, queries), dtype=np.int64)
-        for bs, runs in attention._tiles(batch, queries):
-            for qs in runs:
-                rows = seen[bs, qs]
-                assert rows.size <= attention.QUERY_TILE
-                if queries <= attention.QUERY_TILE:
-                    assert rows.shape[1] == queries  # whole batch items
-                seen[bs, qs] += 1
-        assert np.all(seen == 1)
+        for workers in (1, 2):
+            run = attention.QUERY_TILE // workers
+            seen = np.zeros((batch, queries), dtype=np.int64)
+            for bs, runs in attention._tiles(batch, queries, workers):
+                for qs in runs:
+                    rows = seen[bs, qs]
+                    assert rows.size <= attention.QUERY_TILE
+                    assert rows.shape[1] <= run
+                    if queries <= run:
+                        assert rows.shape[1] == queries  # whole batch items
+                    seen[bs, qs] += 1
+            assert np.all(seen == 1), workers
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tiles_are_independent(self, dtype):
@@ -284,12 +296,15 @@ class TestQueryTiles:
         assert len(parts) == 4
         assert np.array_equal(whole, np.concatenate(parts, axis=1))
 
-    def test_multi_tile_dense_matches_float64_oracle(self):
+    def test_multi_tile_dense_matches_float64_oracle(self, monkeypatch):
         t = generate_synthetic(8, DESK, 34, dtype=np.float64)
         assert t.total_tokens > 2 * attention.QUERY_TILE
         w = init_block_weights(35, 32, 4, np.float64)
-        out = dense_global_attention(t, w)
-        np.testing.assert_allclose(out.flat(), block_oracle(t.flat(), w), rtol=0, atol=1e-12)
+        expect = block_oracle(t.flat(), w)
+        for workers in (1, 2):
+            monkeypatch.setattr(attention, "_WORKERS", workers)
+            out = dense_global_attention(t, w)
+            np.testing.assert_allclose(out.flat(), expect, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("cuts", [(3,), (2, 5, 6)])
     def test_masked_multi_tile_equals_unmasked_prefix(self, cuts):
@@ -301,22 +316,122 @@ class TestQueryTiles:
             prefix = dense_global_attention(TokenTensor(DESK, t.values[:e]), w)
             assert np.max(np.abs(out.values[a:e] - prefix.values[a:e])) <= 1e-6
 
-    def test_dense_peak_grows_linearly_in_keys(self):
-        # the workspace is (1, QUERY_TILE, K), so doubling K adds a fixed
-        # multiple of K: successive increments grow 2x, against 4x for a
-        # (K, K) score array
+    def test_dense_peak_grows_linearly_in_keys(self, monkeypatch):
+        # the W workspaces total (1, QUERY_TILE, K), so doubling K adds a
+        # fixed multiple of K: successive increments grow 2x, against 4x for
+        # a (K, K) score array
         w = init_block_weights(38, 32, 4)
+        for workers in (1, 2):
+            monkeypatch.setattr(attention, "_WORKERS", workers)
+            peaks = []
+            for frames in (8, 16, 32):
+                t = generate_synthetic(frames, DESK, 39)
+                tracemalloc.start()
+                try:
+                    dense_global_attention(t, w)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert t.total_tokens == 2208
+            assert (peaks[2] - peaks[1]) / (peaks[1] - peaks[0]) < 3.0, workers
+
+
+class TestWorkers:
+    """Two workers, whatever the CPU count: this thread and one pool thread,
+    on the 128-row tiles of 552 queries."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(attention, "_WORKERS", 2)
+
+    def test_workers_see_the_callers_errstate(self, monkeypatch):
+        seen = set()
+
+        def recording(scores, out=None):
+            seen.add((threading.get_ident(), np.geterr()["over"]))
+            return softmax_numerators(scores, out=out)
+
+        monkeypatch.setattr(attention, "softmax_numerators", recording)
+        t = generate_synthetic(8, DESK, 40)
+        with np.errstate(over="raise"):
+            dense_global_attention(t, init_block_weights(41, 32, 4))
+        assert len({thread for thread, _ in seen}) == 2
+        assert {over for _, over in seen} == {"raise"}
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_failing_tile_raises_in_the_caller(self, failing, monkeypatch):
+        t = generate_synthetic(8, DESK, 42)
+        w = init_block_weights(43, 32, 4)
+        expect = dense_global_attention(t, w)
+        caller = threading.get_ident()
+
+        def broken(scores, out=None):
+            # the caller runs tiles 0, 2, 4; the worker tiles 1 and 3
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise FloatingPointError(f"{failing} tile failed")
+            return softmax_numerators(scores, out=out)
+
+        monkeypatch.setattr(attention, "softmax_numerators", broken)
+        with pytest.raises(FloatingPointError, match=f"{failing} tile failed"):
+            dense_global_attention(t, w)
+        monkeypatch.setattr(attention, "softmax_numerators", softmax_numerators)
+        assert np.array_equal(dense_global_attention(t, w).values, expect.values)
+
+    def test_frequent_thread_switches_write_every_row_once(self, monkeypatch):
+        # the two workers share out 5 tiles, switching threads every 10 us; a
+        # shared workspace or a lost row would change the output
+        t = generate_synthetic(8, DESK, 46)
+        w = init_block_weights(47, 32, 4)
+        monkeypatch.setattr(attention, "_WORKERS", 1)
+        expect = dense_global_attention(t, w).values
+        monkeypatch.setattr(attention, "_WORKERS", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [dense_global_attention(t, w).values for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for out in runs:
+            assert np.array_equal(out, expect)
+
+    def test_peak_does_not_depend_on_thread_timing(self, monkeypatch):
+        # the caller runs every MLP after the workers stop, so whether the
+        # workers' tiles overlap moves no allocation peak
+        t = generate_synthetic(16, DESK, 48)
+        w = init_block_weights(49, 32, 4)
+        interval = sys.getswitchinterval()
         peaks = []
-        for frames in (8, 16, 32):
-            t = generate_synthetic(frames, DESK, 39)
-            tracemalloc.start()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 2, 2, 2, 2):
+                monkeypatch.setattr(attention, "_WORKERS", workers)
+                tracemalloc.start()
+                try:
+                    dense_global_attention(t, w)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(peaks) - min(peaks) < 0.01 * peaks[0], peaks
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_makes_its_own_pool(self):
+        # the parent's pool threads do not exist in the child: submitting to
+        # the inherited pool would wait forever, so the alarm fails the child
+        t = generate_synthetic(8, DESK, 44)
+        w = init_block_weights(45, 32, 4)
+        expect = dense_global_attention(t, w)
+        pid = os.fork()
+        if pid == 0:
+            code = 2
             try:
-                dense_global_attention(t, w)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                signal.alarm(30)
+                code = int(not np.array_equal(dense_global_attention(t, w).values,
+                                              expect.values))
             finally:
-                tracemalloc.stop()
-        assert t.total_tokens == 2208
-        assert (peaks[2] - peaks[1]) / (peaks[1] - peaks[0]) < 3.0
+                os._exit(code)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
 class TestHistogram:

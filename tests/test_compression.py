@@ -243,3 +243,10 @@ class TestBuildBundle:
         t = generate_synthetic(3, DESK, 9)
         with pytest.raises(ValueError, match="key frames"):
             build_bundle(t, CompressionMethod("bilinear", 4), keys)
+
+    def test_negative_frame_offset_rejected(self):
+        # unchecked, offset -2 would tag 3 frames with provenance -2..0
+        t = generate_synthetic(3, DESK, 9)
+        with pytest.raises(ValueError, match="frame_offset"):
+            build_bundle(t, CompressionMethod("bilinear", 4), np.array([1]),
+                         frame_offset=-2)
