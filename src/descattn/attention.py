@@ -20,43 +20,39 @@ forward's context is built from.  The path works on a leading batch axis:
 frame attention is one call with the frames as the batch, and the global
 kernels are one call with a batch of one.
 
-Every block is query-tiled, with no untiled path, and runs its tiles on W
-workers: one per CPU this process may run on, and at most two, the most that
-has been measured.  Frame attention tiles by whole frames (QUERY_TILE // N
-of them, at least one) and the global kernels by runs of at most
-QUERY_TILE // W query rows.  LN1 and the K/V projections run once, on the calling
-thread, over the keys a tile group shares (a group of frames, or the whole
-key set of a global block).  The group's tiles are then dealt round-robin,
-tile i to worker i mod W: the calling thread is worker 0, and one
-module-level pool of _MAX_WORKERS - 1 threads, made on first use, runs the
-others.  A worker runs a tile's Q projection, scores, softmax and context
-before its next tile starts, and writes only that tile's rows of the output,
-so the output does not depend on scheduling.  Once every worker of a group
-has stopped, the calling thread runs W_o, LN2 and the MLP over the group in
-QUERY_TILE-row tiles, whatever W is; no MLP temporary then overlaps another
-worker's, so a block's allocation peak does not depend on thread timing,
-and only the attention core of a tile sees W.  Each worker's
-share runs in a copy of the calling thread's context, so numpy's
-``errstate`` and buffer size reach the pool threads, and a worker's
-exception is raised in the caller once every share has stopped.  A group
-with one tile (a block of at most QUERY_TILE // W rows, or a frame group of
-N <= QUERY_TILE // W) runs on the calling thread alone, and with W = 1 there
-is no pool.  Each row's softmax still sees all of its keys, so tiling is
-exact.  Each worker owns one (b, <= QUERY_TILE // W, K) float64 score
-workspace, allocated once per block call, which its tiles and heads fill
-with scores and run the softmax (or its numerators) in place, so a yielded
-score array is valid only until that worker's next (tile, head).  The
-workspaces hold at most b * QUERY_TILE * K elements together, so a block's
-activation peak stays O(QUERY_TILE * K), not O(Q * K).  Weights are cast to
-float64 once per block call, not once per tile.  The diagnostics
-(``attention_probabilities``, the histogram) take the same score path on the
-calling thread alone, with QUERY_TILE-row tiles.
-
-Float64 outputs may differ by ulps across W: the BLAS picks its kernel by
-operand size, and a (256, K) @ (K, d) product need not equal its two 128-row
-halves bitwise.  A float32 forward rounds those ulps away: the check
-``attention.worker_count_invariance`` holds three forwards bitwise equal at
-W = 1 and W = 2.
+Every block is query-tiled, with no untiled path, and the tiles are fixed:
+frame attention tiles by whole frames (QUERY_TILE // N of them, at least
+one) and the global kernels by runs of at most QUERY_TILE // _MAX_WORKERS
+query rows, as is a frame longer than that.  A block runs its tiles on W
+workers: one per CPU this process may run on, and at most _MAX_WORKERS, the
+most that has been measured.  W decides only which thread runs a tile, never
+which tiles exist, so every forward and the diagnostics make the same BLAS
+calls on the same shapes, and their bits do not depend on the CPU count.
+LN1 and the K/V projections run once, on the calling thread, over the keys a
+tile group shares (a group of frames, or the whole key set of a global
+block).  The group's tiles are then dealt round-robin, tile i to worker
+i mod W: the calling thread is worker 0, and one module-level pool of
+_MAX_WORKERS - 1 threads, made on first use, runs the others.  A worker runs
+a tile's Q projection, scores, softmax and context before its next tile
+starts, and writes only that tile's rows of the output, so the output does
+not depend on scheduling.  Once every worker of a group has stopped, the
+calling thread runs W_o, LN2 and the MLP over the group in QUERY_TILE-row
+tiles; no MLP temporary then overlaps another worker's, so a block's
+allocation peak does not depend on thread timing.  Each worker's share runs
+in a copy of the calling thread's context, so numpy's ``errstate`` and
+buffer size reach the pool threads, and a worker's exception is raised in
+the caller once every share has stopped.  A group with one tile runs on the
+calling thread alone, and with W = 1 there is no pool.  Each row's softmax
+still sees all of its keys, so tiling is exact.  Each worker owns one
+(b, <= QUERY_TILE // _MAX_WORKERS, K) float64 score workspace, allocated
+once per block call, which its tiles and heads fill with scores and run the
+softmax (or its numerators) in place, so a yielded score array is valid only
+until that worker's next (tile, head).  The workspaces hold at most
+b * QUERY_TILE * K elements together, so a block's activation peak stays
+O(QUERY_TILE * K), not O(Q * K).  Weights are cast to float64 once per block
+call, not once per tile.  The diagnostics (``attention_probabilities``, the
+histogram) take the same score path and the same tiles on the calling thread
+alone.
 
 A mask's cuts split the frames into blocks, and a query sees only the keys
 whose provenance frame does not lie past its own block.  With cuts, each
@@ -91,8 +87,8 @@ HISTOGRAM_BINS = 64
 # Query rows per tile: a block's score workspaces total (b, <= QUERY_TILE, K).
 QUERY_TILE = 256
 # Workers per block, the calling thread included: one per usable CPU, up to
-# _MAX_WORKERS, the most measured for speed and for float32 outputs equal to
-# one worker's (ROADMAP, "Threads over query tiles").
+# _MAX_WORKERS, the most measured for speed (ROADMAP, "Threads over query
+# tiles").  Query runs are QUERY_TILE // _MAX_WORKERS rows at any W.
 _MAX_WORKERS = 2
 _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
@@ -210,19 +206,19 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
-def _tiles(batch: int, queries: int, workers: int = 1) -> list[tuple[slice, list[slice]]]:
+def _tiles(batch: int, queries: int) -> list[tuple[slice, list[slice]]]:
     """The query tiles of a block, grouped by the batch items whose keys
     they share: (batch slice, query slices) per group, in order.
 
     A group holds as many whole batch items as fit in QUERY_TILE query rows,
-    and at least one; an item with more queries than QUERY_TILE // workers is
-    split into runs of that many rows, so each of ``workers`` workers can take
-    a share of a group's runs.  A tile is a group's batch slice with one of
-    its query slices, so it holds at most QUERY_TILE rows, and the first is
-    the largest.
+    and at least one; an item with more queries than QUERY_TILE //
+    _MAX_WORKERS is split into runs of that many rows, so every worker can
+    take a share of a group's runs.  A tile is a group's batch slice with one
+    of its query slices, so it holds at most QUERY_TILE rows, and the first
+    is the largest.
     """
     per = max(1, QUERY_TILE // max(queries, 1))
-    rows = QUERY_TILE // workers
+    rows = QUERY_TILE // _MAX_WORKERS
     runs = [slice(lo, min(lo + rows, queries)) for lo in range(0, queries, rows)]
     return [(slice(lo, min(lo + per, batch)), runs) for lo in range(0, batch, per)]
 
@@ -239,8 +235,8 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     ``x_q`` is (B, Q, C) and ``kv`` is (B, K, C): batch item b's queries see
     only batch item b's keys.  ``limits`` is ``AttentionMask.limits`` of a
     batch of one, or None when every key is visible.  For each group of
-    ``_tiles(B, Q, workers)`` it runs LN1 and the K/V projections over the
-    group's keys once and yields (batch slice, (b, K, C) float64 values,
+    ``_tiles(B, Q)`` it runs LN1 and the K/V projections over the group's
+    keys once and yields (batch slice, (b, K, C) float64 values,
     shares).  The group's query runs are dealt round-robin into the shares,
     run i to share i mod ``workers``, leaving out empty shares.  A share is a
     generator of its tiles: for each it runs LN1 (for self-attention, the key
@@ -249,10 +245,10 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     and yields (query slice, heads), where ``heads`` yields each head's
     (channel slice, (b, q, K) float64 scores) in turn, hidden keys at -inf.
     Share i writes every tile and head into its own (b, <= QUERY_TILE //
-    workers, K) workspace, allocated once per call, which the caller's softmax
-    may overwrite in place, so a yielded array is valid only until that
-    share's next (tile, head): finish a tile's heads before asking the share
-    for its next tile.  Shares of one group may run on different threads at
+    _MAX_WORKERS, K) workspace, allocated once per call, which the caller's
+    softmax may overwrite in place, so a yielded array is valid only until
+    that share's next (tile, head): finish a tile's heads before asking the
+    share for its next tile.  Shares of one group may run on different threads at
     once; a share runs in the context of whichever thread iterates it.
     """
     if limits is not None:
@@ -263,7 +259,7 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
                           "attention contributes nothing for them", MaskedRowWarning)
     wq, wk, wv = (m.astype(np.float64) for m in (w.wq, w.wk, w.wv))
     inv_sqrt_d = 1.0 / np.sqrt(w.channels // w.heads)
-    groups = _tiles(*x_q.shape[:2], workers)
+    groups = _tiles(*x_q.shape[:2])
     largest = x_q[groups[0][0], groups[0][1][0]]
     works = [np.empty(largest.shape[:2] + kv.shape[1:2])
              for _ in range(min(workers, len(groups[0][1])))]
@@ -331,10 +327,10 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     keys/values from kv (B, K, C).  A group's workers write each tile's
     context, rounded to x_q's dtype, into that tile's rows of the output;
     once all have stopped, the calling thread runs W_o, the residual, LN2 and
-    the MLP over the group in QUERY_TILE-row tiles, as one worker would, and
-    writes the block's output over those rows.  So the MLP's temporaries
-    never overlap another worker's, and the block's allocation peak does not
-    depend on thread timing.  Each head's context is its softmax numerators
+    the MLP over the group in QUERY_TILE-row tiles and writes the block's
+    output over those rows.  So the MLP's temporaries never overlap another
+    worker's, and the block's allocation peak does not depend on thread
+    timing.  Each head's context is its softmax numerators
     times V, divided by the row sums afterwards: a (q, d) divide instead of a
     (q, K) one."""
     wo, w1, w2 = (m.astype(np.float64) for m in (w.wo, w.w1, w.w2))

@@ -195,29 +195,32 @@ def check_masked_independence(seed: int) -> None:
 
 
 def check_worker_count_invariance(seed: int) -> None:
-    """One worker and two give the same float32 bits.  Two workers deal
-    128-row query tiles round-robin to this thread and a pool thread,
-    whatever the CPU count; one runs 256-row tiles here."""
-    t = generate_synthetic(8, _DESK, seed)
-    assert t.total_tokens > 2 * attention.QUERY_TILE
-    stream = streaming.StreamConfig(base=_desc_cfg(seed=seed), chunk_size=3)
-    passes = {
-        # cuts at rows 207 and 345 fall inside tiles at both tile heights
-        "dense": lambda: forward_offline(t, _desc_cfg(
-            seed=seed, mask=AttentionMask((3, 5))).with_mode("dense")),
-        "descriptor": lambda: forward_offline(t, _desc_cfg(seed=seed)),
-        # three chunks of 207, 207 and 138 queries
-        "stream": lambda: streaming.run_stream(t, stream)[0],
-    }
+    """One worker and two give the same bits, in float32 and in float64.
+    Two workers deal the 128-row query tiles round-robin to this thread and
+    a pool thread, whatever the CPU count; one runs the same tiles here."""
     saved = attention._WORKERS
     try:
-        for name, run in passes.items():
-            outs = []
-            for workers in (1, 2):
-                attention._WORKERS = workers
-                outs.append(run().values)
-            assert outs[0].dtype == np.float32, name
-            assert np.array_equal(outs[0], outs[1]), name
+        for dtype in (np.float32, np.float64):
+            t = generate_synthetic(8, _DESK, seed, dtype=dtype)
+            assert t.total_tokens > 2 * attention.QUERY_TILE
+            cfg = _desc_cfg(seed=seed, dtype=dtype)
+            passes = {
+                # cuts at rows 207 and 345 fall inside tiles
+                "dense": lambda: forward_offline(t, _desc_cfg(
+                    seed=seed, dtype=dtype, mask=AttentionMask((3, 5))
+                ).with_mode("dense")),
+                "descriptor": lambda: forward_offline(t, cfg),
+                # three chunks of 207, 207 and 138 queries
+                "stream": lambda: streaming.run_stream(
+                    t, streaming.StreamConfig(base=cfg, chunk_size=3))[0],
+            }
+            for name, run in passes.items():
+                outs = []
+                for workers in (1, 2):
+                    attention._WORKERS = workers
+                    outs.append(run().values)
+                assert outs[0].dtype == dtype, name
+                assert np.array_equal(outs[0], outs[1]), (name, np.dtype(dtype).name)
     finally:
         attention._WORKERS = saved
 

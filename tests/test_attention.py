@@ -1,6 +1,7 @@
 """Attention kernels: hand-computed cases, brute-force oracles, masks, the
 one score path, the score workspace, query tiles and the score histogram."""
 
+import functools
 import math
 import os
 import signal
@@ -214,40 +215,56 @@ class TestDescriptorOracle:
 class TestOneScorePath:
     @pytest.mark.parametrize("mode", ["dense", "descriptor"])
     def test_probabilities_are_the_forwards_bitwise(self, mode, monkeypatch):
-        t = generate_synthetic(3, DESK, 26)
+        # 276 queries make three tiles, so at W = 2 both threads run tiles
+        t = generate_synthetic(4, DESK, 26)
         w = init_block_weights(27, 32, 4)
-        seen = []
-
-        def recording(scores, out=None):
-            e, denom = softmax_numerators(scores, out=out)
-            # the forward reuses one workspace across heads, so keep a copy
-            seen.append((e.copy(), denom.copy()))
-            return e, denom
-
-        # one worker keeps the record in tile order
-        monkeypatch.setattr(attention, "_WORKERS", 1)
-        monkeypatch.setattr(attention, "softmax_numerators", recording)
+        assert t.total_tokens > 2 * (attention.QUERY_TILE // attention._MAX_WORKERS)
         if mode == "dense":
-            dense_global_attention(t, w)
             kv = t.flat()
+            forward = functools.partial(dense_global_attention, t, w)
         else:
             bundle = build_bundle(t, CompressionMethod("bilinear", 2),
                                   select_keyframes(t, KeyframeSelector(interval=2)))
-            descriptor_attention(t, bundle, w)
             kv = bundle.descriptors
-        # the forward divides only after P·V; its probabilities are e / denom,
-        # each head (1, Q, K)
-        forward = np.concatenate([e / denom for e, denom in seen])
-        assert forward.shape == (w.heads, t.total_tokens, kv.shape[0])
-        assert not all(np.array_equal(forward[0], head) for head in forward[1:])
-        assert np.array_equal(attention_probabilities(t.flat(), kv, w), forward)
+            forward = functools.partial(descriptor_attention, t, bundle, w)
+        probs = attention_probabilities(t.flat(), kv, w)
+        for workers in (1, 2):
+            seen = {}
+
+            def recording(scores, out=None):
+                e, denom = softmax_numerators(scores, out=out)
+                # the forward reuses one workspace across heads, so keep a copy
+                seen.setdefault(threading.get_ident(), []).append(
+                    (e.copy(), denom.copy()))
+                return e, denom
+
+            monkeypatch.setattr(attention, "_WORKERS", workers)
+            monkeypatch.setattr(attention, "softmax_numerators", recording)
+            forward()
+            # worker 0 is this thread; tile i went to worker i mod W, and each
+            # worker ran its tiles in order, head by head
+            shares = [seen.pop(threading.get_ident()), *seen.values()]
+            assert len(shares) == workers
+            tiles = sum(map(len, shares)) // w.heads
+            per_tile = [shares[i % workers][i // workers * w.heads:][:w.heads]
+                        for i in range(tiles)]
+            # the forward divides only after P·V; its probabilities are
+            # e / denom, each (tile, head) (1, q, K)
+            forward_probs = np.stack([
+                np.concatenate([e[0] / denom[0] for e, denom in
+                                (tile[h] for tile in per_tile)])
+                for h in range(w.heads)])
+            assert forward_probs.shape == (w.heads, t.total_tokens, kv.shape[0])
+            assert not all(np.array_equal(forward_probs[0], head)
+                           for head in forward_probs[1:])
+            assert np.array_equal(probs, forward_probs), workers
 
 
 class TestScoreWorkspace:
     def test_dense_peak_is_about_one_score_matrix(self, monkeypatch):
-        # each of W workers owns one (1, <= QUERY_TILE // W, K) float64
-        # workspace for all its tiles and heads; the softmax runs inside it,
-        # so no (K, K) array is ever alive
+        # each of W workers owns one (1, <= QUERY_TILE // _MAX_WORKERS, K)
+        # float64 workspace for all its tiles and heads; the softmax runs
+        # inside it, so no (K, K) array is ever alive
         t = generate_synthetic(16, DESK, 28)
         w = init_block_weights(29, 32, 4)
         k = t.total_tokens
@@ -263,21 +280,29 @@ class TestScoreWorkspace:
             assert peak < k * k * 8, workers
 
 
+def _assert_tiles_cover_every_query_once(batch, queries):
+    run = attention.QUERY_TILE // attention._MAX_WORKERS
+    seen = np.zeros((batch, queries), dtype=np.int64)
+    for bs, runs in attention._tiles(batch, queries):
+        for qs in runs:
+            rows = seen[bs, qs]
+            assert rows.size <= attention.QUERY_TILE
+            assert rows.shape[1] <= run
+            if queries <= run:
+                assert rows.shape[1] == queries  # whole batch items
+            seen[bs, qs] += 1
+    assert np.all(seen == 1)
+
+
 class TestQueryTiles:
     @pytest.mark.parametrize("batch,queries", [(1, 785), (32, 69), (5, 300), (3, 256)])
     def test_tiles_cover_every_query_once(self, batch, queries):
-        for workers in (1, 2):
-            run = attention.QUERY_TILE // workers
-            seen = np.zeros((batch, queries), dtype=np.int64)
-            for bs, runs in attention._tiles(batch, queries, workers):
-                for qs in runs:
-                    rows = seen[bs, qs]
-                    assert rows.size <= attention.QUERY_TILE
-                    assert rows.shape[1] <= run
-                    if queries <= run:
-                        assert rows.shape[1] == queries  # whole batch items
-                    seen[bs, qs] += 1
-            assert np.all(seen == 1), workers
+        _assert_tiles_cover_every_query_once(batch, queries)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 1000))
+    def test_tiles_cover_every_query_once_for_any_shape(self, batch, queries):
+        _assert_tiles_cover_every_query_once(batch, queries)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tiles_are_independent(self, dtype):
@@ -308,7 +333,7 @@ class TestQueryTiles:
 
     @pytest.mark.parametrize("cuts", [(3,), (2, 5, 6)])
     def test_masked_multi_tile_equals_unmasked_prefix(self, cuts):
-        # tile edges (every 256 rows, 3.7 frames) fall inside mask blocks
+        # tile edges (every 128 rows, 1.9 frames) fall inside mask blocks
         t = generate_synthetic(8, DESK, 36)
         w = init_block_weights(37, 32, 4)
         out = dense_global_attention(t, w, AttentionMask(cuts))
@@ -317,7 +342,7 @@ class TestQueryTiles:
             assert np.max(np.abs(out.values[a:e] - prefix.values[a:e])) <= 1e-6
 
     def test_dense_peak_grows_linearly_in_keys(self, monkeypatch):
-        # the W workspaces total (1, QUERY_TILE, K), so doubling K adds a
+        # the W workspaces total (1, <= QUERY_TILE, K), so doubling K adds a
         # fixed multiple of K: successive increments grow 2x, against 4x for
         # a (K, K) score array
         w = init_block_weights(38, 32, 4)
@@ -396,24 +421,29 @@ class TestWorkers:
 
     def test_peak_does_not_depend_on_thread_timing(self, monkeypatch):
         # the caller runs every MLP after the workers stop, so whether the
-        # workers' tiles overlap moves no allocation peak
+        # workers' tiles overlap moves no allocation peak; one worker holds
+        # one workspace of the two, so its peak is no higher
         t = generate_synthetic(16, DESK, 48)
         w = init_block_weights(49, 32, 4)
+
+        def peak(workers):
+            monkeypatch.setattr(attention, "_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                dense_global_attention(t, w)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        reference = peak(2)
+        assert peak(1) <= reference
         interval = sys.getswitchinterval()
-        peaks = []
         sys.setswitchinterval(1e-5)
         try:
-            for workers in (1, 2, 2, 2, 2, 2):
-                monkeypatch.setattr(attention, "_WORKERS", workers)
-                tracemalloc.start()
-                try:
-                    dense_global_attention(t, w)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
+            peaks = [reference] + [peak(2) for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
-        assert max(peaks) - min(peaks) < 0.01 * peaks[0], peaks
+        assert max(peaks) - min(peaks) < 0.01 * reference, peaks
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_makes_its_own_pool(self):
