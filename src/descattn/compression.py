@@ -15,6 +15,14 @@ Masks read the frame, and streaming retention reads both.  Tokens may
 legitimately appear twice (the first frame contributes both a compressed and a
 verbatim copy); the kind keeps the copies distinguishable and cross-attention
 tolerates duplicates.
+
+Every compressor takes a patch grid with leading frame axes, (..., H, W, C)
+to (..., n, C), so ``build_bundle`` compresses all S frames in one call.  Each
+frame's descriptors come from the same float64 operations, in the same order,
+as when that frame is compressed alone: a stack compresses bitwise as its
+frames do one by one, and a single grid is the same path with no leading axis.
+bilinear and learned_conv widen only the taps they gather, and avgpool's mean
+widens its cells as it sums; topk_norm widens every token once, for its norms.
 """
 
 from __future__ import annotations
@@ -110,62 +118,80 @@ def bundle_token_counts(frames: int, layout: FrameLayout, method: CompressionMet
     return BundleCounts(compressed, frames * layout.n_special, n, selector.count(frames) * n)
 
 
-def topk_norm_indices(tokens: np.ndarray, budget: int) -> np.ndarray:
-    """Row-major indices of the ``budget`` largest-norm tokens, in original order.
+def topk_norm_indices(grid: np.ndarray, budget: int) -> np.ndarray:
+    """Row-major indices of each frame's ``budget`` largest-norm tokens, in
+    original order.
 
-    Ties at the cutoff go to the earlier row-major position.
+    ``grid`` is (..., H, W, C); the result is (..., budget), indices into the
+    frame's H * W tokens.  Each frame is ranked on its own: a stable sort
+    along the last axis of the float64 norms, never across frames.  Ties at
+    the cutoff go to the earlier row-major position.
     """
-    flat = tokens.reshape(-1, tokens.shape[-1])
-    if not 1 <= budget <= flat.shape[0]:
-        raise ValueError(f"budget {budget} out of range for {flat.shape[0]} tokens")
-    norms = np.linalg.norm(flat.astype(np.float64), axis=1)
+    grid = np.asarray(grid)
+    if grid.ndim < 3:
+        raise ValueError(f"expected an (..., H, W, C) grid, got shape {grid.shape}")
+    n = grid.shape[-3] * grid.shape[-2]
+    if not 1 <= budget <= n:
+        raise ValueError(f"budget {budget} out of range for {n} tokens")
+    sq = grid.reshape(*grid.shape[:-3], n, grid.shape[-1]).astype(np.float64)
+    # np.linalg.norm's own steps, x * x then a row sum, on one temporary
+    np.multiply(sq, sq, out=sq)
+    norms = np.sqrt(np.add.reduce(sq, axis=-1))
     # stable sort on -norm keeps earlier indices first among ties
-    order = np.argsort(-norms, kind="stable")[:budget]
-    return np.sort(order)
+    order = np.argsort(-norms, axis=-1, kind="stable")[..., :budget]
+    return np.sort(order, axis=-1)
 
 
 def _avgpool(grid: np.ndarray, r: int, out_h: int, out_w: int) -> np.ndarray:
-    c = grid.shape[2]
-    g = grid[:out_h * r, :out_w * r].astype(np.float64)
-    cells = g.reshape(out_h, r, out_w, r, c).transpose(0, 2, 1, 3, 4)
+    lead, c = grid.shape[:-3], grid.shape[-1]
+    g = grid[..., :out_h * r, :out_w * r, :]
+    cells = g.reshape(*lead, out_h, r, out_w, r, c).swapaxes(-4, -3)
     # the contiguous copy makes each cell's sum run in the order of a per-cell
-    # mean; on the strided view numpy sums in another order and moves bits
-    return np.ascontiguousarray(cells).mean(axis=(2, 3)).astype(grid.dtype)
+    # mean; on the strided view numpy sums in another order and moves bits.
+    # The copy stays in the grid's dtype: the mean widens it as it sums.
+    cells = np.ascontiguousarray(cells)
+    return cells.mean(axis=(-3, -2), dtype=np.float64).astype(grid.dtype)
 
 
 def _learned_conv(grid: np.ndarray, method: CompressionMethod,
                   out_h: int, out_w: int) -> np.ndarray:
     r = method.ratio
-    c = grid.shape[2]
+    c = grid.shape[-1]
+    # one draw per call, shared by every frame of the stack
     gen = rng(method.seed)
     depthwise = gen.standard_normal((r, r, c)) / r
     pointwise = gen.standard_normal((c, c)) / np.sqrt(c)
-    g = grid.astype(np.float64)
-    mixed = np.zeros((out_h, out_w, c), dtype=np.float64)
+    mixed = np.zeros((*grid.shape[:-3], out_h, out_w, c), dtype=np.float64)
     for a in range(r):
         for b in range(r):
-            mixed += g[a:a + out_h * r:r, b:b + out_w * r:r] * depthwise[a, b]
-    out = mixed.reshape(-1, c) @ pointwise
-    return out.reshape(out_h, out_w, c).astype(grid.dtype)
+            mixed += np.multiply(grid[..., a:a + out_h * r:r, b:b + out_w * r:r, :],
+                                 depthwise[a, b])
+    # a stacked product makes, frame by frame, the (n, C) @ (C, C) BLAS call
+    # a lone grid makes; one (S * n, C) product moved bits where n = 1
+    out = mixed.reshape(*grid.shape[:-3], out_h * out_w, c) @ pointwise
+    return out.reshape(mixed.shape).astype(grid.dtype)
 
 
 def compress_frame(grid: np.ndarray, method: CompressionMethod) -> np.ndarray:
-    """Compress one H x W x C patch grid to its (n, C) descriptor tokens.
+    """Compress an (..., H, W, C) patch grid to its (..., n, C) descriptor tokens.
 
     Tokens are in row-major output order, with n = floor(H/r) * floor(W/r)
-    for every method (matched budget).
+    for every method (matched budget).  Leading axes are frames: a stack of
+    S grids compresses in one call, bitwise as its frames do one by one, so
+    a single H x W x C grid and a whole sequence take the same path.
     """
     grid = np.asarray(grid)
-    if grid.ndim != 3:
-        raise ValueError(f"expected an H x W x C grid, got shape {grid.shape}")
-    h, w, c = grid.shape
+    if grid.ndim < 3:
+        raise ValueError(f"expected an (..., H, W, C) grid, got shape {grid.shape}")
+    *lead, h, w, c = grid.shape
     r = method.ratio
     if r > min(h, w):
         raise ValueError(f"compression ratio {r} exceeds grid side min({h}, {w})")
     out_h, out_w = h // r, w // r
 
     if method.kind == "topk_norm":
-        return grid.reshape(-1, c)[topk_norm_indices(grid, out_h * out_w)]
+        idx = topk_norm_indices(grid, out_h * out_w)
+        return np.take_along_axis(grid.reshape(*lead, h * w, c), idx[..., None], axis=-2)
 
     if method.kind == "bilinear":
         out = resample_bilinear(grid, out_h, out_w)
@@ -175,7 +201,7 @@ def compress_frame(grid: np.ndarray, method: CompressionMethod) -> np.ndarray:
         out = _avgpool(grid, r, out_h, out_w)
     else:  # learned_conv
         out = _learned_conv(grid, method, out_h, out_w)
-    return out.reshape(-1, c)
+    return out.reshape(*lead, out_h * out_w, c)
 
 
 def lloyd(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
@@ -312,18 +338,18 @@ def build_bundle(t: TokenTensor, method: CompressionMethod,
                              f"array inside [0, {s}), got {keyframes!r}")
         keyframes = keyframes.astype(np.int32)
     per_frame = method.tokens_per_frame(lay)
+    special, grids = split_grid(t, slice(None))
     # one (tokens, frames, kinds) triple per block, in bundle order
-    blocks = [(np.concatenate([compress_frame(split_grid(t, f)[1], method)
-                               for f in range(s)]),
+    blocks = [(compress_frame(grids, method).reshape(-1, c),
                np.repeat(np.arange(s, dtype=np.int32), per_frame),
                np.full(s * per_frame, DescriptorKind.COMPRESSED, dtype=np.int8))]
 
     if keyframes is not None:
-        special = np.repeat(np.array([DescriptorKind.CAMERA, DescriptorKind.REGISTER],
-                                     dtype=np.int8), [lay.n_camera, lay.n_register])
-        blocks.append((t.values[:, :lay.n_special].reshape(-1, c),
+        special_kinds = np.repeat(np.array([DescriptorKind.CAMERA, DescriptorKind.REGISTER],
+                                           dtype=np.int8), [lay.n_camera, lay.n_register])
+        blocks.append((special.reshape(-1, c),
                        np.repeat(np.arange(s, dtype=np.int32), lay.n_special),
-                       np.tile(special, s)))
+                       np.tile(special_kinds, s)))
         if frame_offset == 0:
             blocks.append((t.values[0], np.zeros(n, dtype=np.int32),
                            np.full(n, DescriptorKind.FIRST_FRAME_PATCH, dtype=np.int8)))

@@ -213,9 +213,9 @@ def half_pixel_centers(n_in: int, n_out: int) -> np.ndarray:
 
 
 def _check_resample_args(grid: np.ndarray, out_h: int, out_w: int) -> tuple[int, int, int]:
-    if grid.ndim != 3:
-        raise ShapeError(f"resampling expects an H x W x C grid, got shape {grid.shape}")
-    h, w, c = grid.shape
+    if grid.ndim < 3:
+        raise ShapeError(f"resampling expects an (..., H, W, C) grid, got shape {grid.shape}")
+    h, w, c = grid.shape[-3:]
     if h < 1 or w < 1:
         raise ShapeError(f"empty grid {grid.shape}")
     if out_h < 1 or out_w < 1 or out_h > h or out_w > w:
@@ -226,11 +226,19 @@ def _check_resample_args(grid: np.ndarray, out_h: int, out_w: int) -> tuple[int,
 
 
 def resample_bilinear(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Downsample an H x W x C grid to out_h x out_w x C by bilinear interpolation.
+    """Downsample an (..., H, W, C) grid to (..., out_h, out_w, C) by bilinear
+    interpolation.
 
     Each output token is a convex blend of at most four neighbouring input
     tokens; an affine function of the grid coordinates is reproduced exactly.
-    Identity target returns a bitwise-equal copy.
+    Identity target returns a bitwise-equal copy.  Leading axes are frames:
+    a stack resamples bitwise as its grids do one by one.
+
+    Each of the four corners is gathered in the grid's dtype and only then
+    widened to float64, so the temporaries scale with the output, not the
+    input.  The blend accumulates in place, in the order
+    ``top = a * (1 - wx) + b * wx``, ``bot = c * (1 - wx) + d * wx``,
+    ``top * (1 - wy) + bot * wy``, one rounding per operation.
     """
     grid = np.asarray(grid)
     h, w, _ = _check_resample_args(grid, out_h, out_w)
@@ -244,19 +252,28 @@ def resample_bilinear(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
+    wx = (xs - x0)[:, None]
 
-    g = grid.astype(np.float64)
-    top = g[y0][:, x0] * (1.0 - wx) + g[y0][:, x1] * wx
-    bot = g[y1][:, x0] * (1.0 - wx) + g[y1][:, x1] * wx
-    out = top * (1.0 - wy) + bot * wy
+    # the float64 weights widen each gathered corner as they multiply it
+    def blend(rows: np.ndarray) -> np.ndarray:
+        acc = np.multiply(grid[..., rows[:, None], x0, :], 1.0 - wx)
+        acc += np.multiply(grid[..., rows[:, None], x1, :], wx)
+        return acc
+
+    out = blend(y0)
+    out *= 1.0 - wy
+    bot = blend(y1)
+    bot *= wy
+    out += bot
     return out.astype(grid.dtype)
 
 
 def resample_nearest(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Downsample by copying the nearest input token (ties round to the lower index).
+    """Downsample an (..., H, W, C) grid by copying the nearest input token
+    (ties round to the lower index).
 
     Output tokens are verbatim copies, so no dtype round-trip happens here.
+    Leading axes are frames, each resampled on its own.
     """
     grid = np.asarray(grid)
     h, w, _ = _check_resample_args(grid, out_h, out_w)
@@ -265,4 +282,4 @@ def resample_nearest(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     # round-half-down: ceil(c - 0.5)
     iy = np.clip(np.ceil(half_pixel_centers(h, out_h) - 0.5).astype(np.intp), 0, h - 1)
     ix = np.clip(np.ceil(half_pixel_centers(w, out_w) - 0.5).astype(np.intp), 0, w - 1)
-    return grid[iy][:, ix].copy()
+    return grid[..., iy[:, None], ix, :]

@@ -118,16 +118,19 @@ def generate_synthetic(frames: int, layout: FrameLayout, seed: int,
     return TokenTensor(layout, values)
 
 
-def split_grid(t: TokenTensor, frame: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split one frame into (special tokens, H x W x C patch grid).
+def split_grid(t: TokenTensor, frame: int | slice) -> tuple[np.ndarray, np.ndarray]:
+    """Split one frame, or a slice of frames, into (special tokens, patch grid).
 
-    Concatenating the two parts in layout order reproduces the frame exactly.
+    An index gives the frame's (n_special, C) special tokens and its
+    H x W x C grid; a slice gives the (F, n_special, C) and (F, H, W, C)
+    stacks of its F frames.  Both are views of ``t``.  Concatenating the two
+    parts of a frame in layout order reproduces it exactly.  An index
+    outside [0, S) raises ``IndexError``.
     """
-    if not 0 <= frame < t.frames:
+    if not isinstance(frame, slice) and not 0 <= frame < t.frames:
         raise IndexError(f"frame {frame} out of range for {t.frames} frames")
     lay = t.layout
-    row = t.values[frame]
-    special = row[:lay.n_special]
-    grid = row[lay.n_special:].reshape(lay.h, lay.w, lay.channels)
+    rows = t.values[frame]
+    special = rows[..., :lay.n_special, :]
+    grid = rows[..., lay.n_special:, :].reshape(*rows.shape[:-2], lay.h, lay.w, lay.channels)
     return special, grid
-

@@ -111,14 +111,26 @@ def check_k_definition(seed: int) -> None:
 
 
 def check_matched_budget(seed: int) -> None:
+    """Every kind gives floor(H/r) * floor(W/r) tokens per frame, and a stack
+    of frames compresses bitwise as its frames do one by one, in either order."""
     gen = rng(seed)
     # the 9x7 grid does not divide evenly by r=3: the budget is floor(H/r) * floor(W/r)
     for (h, w, c), ratio in (((8, 8, 16), 4), ((9, 7, 6), 3)):
-        grid = gen.standard_normal((h, w, c)).astype(np.float32)
+        # frames at different scales: a top-k ranked across the stack would
+        # take its budget from the loudest frame
+        stack = gen.standard_normal((4, h, w, c)) * gen.uniform(0.5, 2.0, (4, 1, 1, 1))
         budget = (h // ratio) * (w // ratio)
-        for kind in COMPRESSION_KINDS:
-            tokens = compress_frame(grid, CompressionMethod(kind, ratio))
-            assert tokens.shape == (budget, c), (kind, tokens.shape)
+        for dtype in (np.float32, np.float64):
+            grids = stack.astype(dtype)
+            for kind in COMPRESSION_KINDS:
+                method = CompressionMethod(kind, ratio)
+                tokens = compress_frame(grids, method)
+                assert tokens.shape == (4, budget, c), (kind, tokens.shape)
+                for f, grid in enumerate(grids):
+                    assert np.array_equal(tokens[f], compress_frame(grid, method)), (
+                        kind, dtype, f)
+                assert np.array_equal(compress_frame(grids[::-1], method), tokens[::-1]), (
+                    kind, dtype)
 
 
 def check_lloyd_objective(seed: int) -> None:

@@ -1,11 +1,15 @@
 """Compression methods, key-frame selection, and bundle assembly."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from descattn.compression import (BundleCounts, CompressionMethod, DescriptorKind,
-                                  KeyframeSelector, build_bundle, bundle_token_counts,
-                                  compress_frame, select_keyframes, topk_norm_indices)
+from descattn.compression import (COMPRESSION_KINDS, BundleCounts, CompressionMethod,
+                                  DescriptorKind, KeyframeSelector, build_bundle,
+                                  bundle_token_counts, compress_frame, select_keyframes,
+                                  topk_norm_indices)
 from descattn.kernels import rng
 from descattn.tokens import FrameLayout, TokenTensor, generate_synthetic, image_grid_layout
 
@@ -33,7 +37,8 @@ def brute_force_two_means(points):
 
 
 class TestCompressFrame:
-    @pytest.mark.parametrize("kind", ["bilinear", "nearest", "avgpool"])
+    # at r = 1 the top-k budget is every token, kept in row-major order
+    @pytest.mark.parametrize("kind", ["bilinear", "nearest", "avgpool", "topk_norm"])
     def test_ratio_one_is_identity(self, kind):
         grid = rng(1).standard_normal((5, 5, 4)).astype(np.float32)
         tokens = compress_frame(grid, CompressionMethod(kind, 1))
@@ -45,14 +50,17 @@ class TestCompressFrame:
         assert np.array_equal(tokens, np.full((4, 3), 1.5, dtype=np.float32))
 
     def test_avgpool_matches_cell_mean_oracle(self):
-        # the 9x7 grid drops its last row and column: every cell is whole
-        for h, w in ((8, 8), (9, 7)):
-            grid = rng(3).standard_normal((h, w, 2)).astype(np.float32)
+        # the 9x7 grid drops its last row and column: every cell is whole.
+        # On one float64 channel a mean over the strided cells (no contiguous
+        # copy) sums in another order and misses the oracle's bits.
+        for (h, w), (c, dtype) in itertools.product(((8, 8), (9, 7)),
+                                                    ((2, np.float32), (1, np.float64))):
+            grid = rng(3).standard_normal((h, w, c)).astype(dtype)
             tokens = compress_frame(grid, CompressionMethod("avgpool", 2))
             expect = np.stack([grid[2 * i:2 * i + 2, 2 * j:2 * j + 2]
                               .astype(np.float64).mean(axis=(0, 1))
                                for i in range(h // 2) for j in range(w // 2)])
-            assert np.array_equal(tokens, expect.astype(np.float32)), (h, w)
+            assert np.array_equal(tokens, expect.astype(dtype)), (h, w, c)
 
     def test_avgpool_preserves_global_mean_on_divisible_grid(self):
         # integer tokens + power-of-two cells: both means are exact floats
@@ -202,33 +210,51 @@ class TestBuildBundle:
         cam = (b.kinds == int(DescriptorKind.CAMERA)) & (b.frames == 1)
         assert np.array_equal(b.descriptors[cam], t.values[1, :1])
 
-    @pytest.mark.parametrize("kind", ["nearest", "topk_norm"])
+    @pytest.mark.parametrize("kind", COMPRESSION_KINDS)
     @pytest.mark.parametrize("first", [True, False])
     def test_matches_per_frame_assembly(self, kind, first):
-        # reference: the bundle appended one frame at a time, block by block;
-        # only the bundle at frame offset 0 holds the first-frame group
+        # reference: the bundle appended one frame at a time, block by block,
+        # each grid compressed alone; only the bundle at frame offset 0 holds
+        # the first-frame group
         lay = FrameLayout(h=9, w=7, n_camera=2, n_register=1, channels=6)
-        t = generate_synthetic(5, lay, 8, dtype=np.float64)
         method, keys = CompressionMethod(kind, 2), np.array([1, 4])
         offset = 0 if first else 13
-        parts = []
-        for f in range(5):
-            grid = t.values[f, 3:].reshape(9, 7, 6)
-            parts.append((compress_frame(grid, method), f, [DescriptorKind.COMPRESSED] * 12))
-        for f in range(5):
-            parts.append((t.values[f, :3], f, [DescriptorKind.CAMERA] * 2
-                          + [DescriptorKind.REGISTER]))
-        if first:
-            parts.append((t.values[0], 0, [DescriptorKind.FIRST_FRAME_PATCH] * 66))
-        for f in keys:
-            parts.append((t.values[f], f, [DescriptorKind.KEYFRAME_PATCH] * 66))
-        b = build_bundle(t, method, keys, frame_offset=offset)
-        assert np.array_equal(b.descriptors, np.concatenate([p[0] for p in parts]))
-        assert np.array_equal(b.frames, np.concatenate(
-            [np.full(len(p[0]), p[1] + offset) for p in parts]))
-        assert np.array_equal(b.kinds, np.concatenate([p[2] for p in parts]))
-        assert (b.descriptors.dtype, b.frames.dtype, b.kinds.dtype) == (
-            np.float64, np.int32, np.int8)
+        for dtype in (np.float32, np.float64):
+            t = generate_synthetic(5, lay, 8, dtype=dtype)
+            parts = []
+            for f in range(5):
+                grid = t.values[f, 3:].reshape(9, 7, 6)
+                parts.append((compress_frame(grid, method), f,
+                              [DescriptorKind.COMPRESSED] * 12))
+            for f in range(5):
+                parts.append((t.values[f, :3], f, [DescriptorKind.CAMERA] * 2
+                              + [DescriptorKind.REGISTER]))
+            if first:
+                parts.append((t.values[0], 0, [DescriptorKind.FIRST_FRAME_PATCH] * 66))
+            for f in keys:
+                parts.append((t.values[f], f, [DescriptorKind.KEYFRAME_PATCH] * 66))
+            b = build_bundle(t, method, keys, frame_offset=offset)
+            assert np.array_equal(b.descriptors, np.concatenate([p[0] for p in parts]))
+            assert np.array_equal(b.frames, np.concatenate(
+                [np.full(len(p[0]), p[1] + offset) for p in parts]))
+            assert np.array_equal(b.kinds, np.concatenate([p[2] for p in parts]))
+            assert (b.descriptors.dtype, b.frames.dtype, b.kinds.dtype) == (
+                dtype, np.int32, np.int8)
+
+    def test_temporaries_scale_with_descriptors(self):
+        # 512 desk frames are 4.52 MB of float32 tokens, 0.26 MB of which
+        # become descriptors; widening the whole grid stack to float64
+        # before sampling it would take 8.4 MB
+        t = generate_synthetic(512, DESK, 10)
+        method = CompressionMethod("bilinear", 4)
+        build_bundle(t, method)
+        tracemalloc.start()
+        try:
+            build_bundle(t, method)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < t.values.nbytes, (peak, t.values.nbytes)
 
     def test_frame_offset_shifts_provenance(self):
         t = generate_synthetic(2, DESK, 7)

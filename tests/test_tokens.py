@@ -71,6 +71,20 @@ class TestSplitGrid:
         with pytest.raises(IndexError):
             split_grid(t, 2)
 
+    def test_slice_stacks_the_per_frame_splits(self):
+        t = generate_synthetic(5, DESK, 3)
+        for frames in (slice(None), slice(1, 4), slice(4, 0, -2)):
+            special, grid = split_grid(t, frames)
+            picked = range(t.frames)[frames]
+            assert special.shape == (len(picked), DESK.n_special, 32)
+            assert grid.shape == (len(picked), 8, 8, 32)
+            for i, f in enumerate(picked):
+                one_special, one_grid = split_grid(t, f)
+                assert np.array_equal(special[i], one_special)
+                assert np.array_equal(grid[i], one_grid)
+        with pytest.raises(IndexError):
+            split_grid(t, -1)
+
 
 def test_token_frames_map():
     t = generate_synthetic(3, DESK, 0)
