@@ -36,23 +36,23 @@ _MAX_WORKERS - 1 threads, made on first use, runs the others.  A worker runs
 a tile's Q projection, scores, softmax and context before its next tile
 starts, and writes only that tile's rows of the output, so the output does
 not depend on scheduling.  Once every worker of a group has stopped, the
-calling thread runs W_o, LN2 and the MLP over the group in QUERY_TILE-row
-tiles; no MLP temporary then overlaps another worker's, so a block's
-allocation peak does not depend on thread timing.  Each worker's share runs
-in a copy of the calling thread's context, so numpy's ``errstate`` and
-buffer size reach the pool threads, and a worker's exception is raised in
-the caller once every share has stopped.  A group with one tile runs on the
-calling thread alone, and with W = 1 there is no pool.  Each row's softmax
-still sees all of its keys, so tiling is exact.  Each worker owns one
-(b, <= QUERY_TILE // _MAX_WORKERS, K) float64 score workspace, allocated
-once per block call, which its tiles and heads fill with scores and run the
-softmax (or its numerators) in place, so a yielded score array is valid only
-until that worker's next (tile, head).  The workspaces hold at most
-b * QUERY_TILE * K elements together, so a block's activation peak stays
-O(QUERY_TILE * K), not O(Q * K).  Weights are cast to float64 once per block
-call, not once per tile.  The diagnostics (``attention_probabilities``, the
-histogram) take the same score path and the same tiles on the calling thread
-alone.
+calling thread runs W_o, LN2 and the MLP on each of the group's tiles in
+turn, so a block has one tiling and no MLP temporary overlaps another
+worker's: a block's allocation peak does not depend on thread timing.  Each
+worker runs in a copy of the calling thread's context, so numpy's
+``errstate`` and buffer size reach the pool threads, and a worker's
+exception is raised in the caller once every share has stopped.  A group
+with one tile runs on the calling thread alone, and with W = 1 there is no
+pool.  Each row's softmax still sees all of its keys, so tiling is exact.
+Each worker owns one (b, <= QUERY_TILE // _MAX_WORKERS, K) float64 score
+workspace, allocated once per block call, which its tiles and heads fill
+with scores and run the softmax (or its numerators) in place, so a yielded
+score array is valid only until that worker's next (tile, head).  The
+workspaces hold at most b * QUERY_TILE * K elements together, so a block's
+activation peak stays O(QUERY_TILE * K), not O(Q * K).  Weights are cast to
+float64 once per block call, not once per tile.  The diagnostics
+(``attention_probabilities``, the histogram) take the same score path and
+the same tiles on the calling thread alone.
 
 A mask's cuts split the frames into blocks, and a query sees only the keys
 whose provenance frame does not lie past its own block.  With cuts, each
@@ -236,7 +236,7 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     only batch item b's keys.  ``limits`` is ``AttentionMask.limits`` of a
     batch of one, or None when every key is visible.  For each group of
     ``_tiles(B, Q)`` it runs LN1 and the K/V projections over the group's
-    keys once and yields (batch slice, (b, K, C) float64 values,
+    keys once and yields (batch slice, query runs, (b, K, C) float64 values,
     shares).  The group's query runs are dealt round-robin into the shares,
     run i to share i mod ``workers``, leaving out empty shares.  A share is a
     generator of its tiles: for each it runs LN1 (for self-attention, the key
@@ -248,8 +248,8 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     _MAX_WORKERS, K) workspace, allocated once per call, which the caller's
     softmax may overwrite in place, so a yielded array is valid only until
     that share's next (tile, head): finish a tile's heads before asking the
-    share for its next tile.  Shares of one group may run on different threads at
-    once; a share runs in the context of whichever thread iterates it.
+    share for its next tile.  Shares of one group may run on different
+    threads at once, each in the context of the thread that iterates it.
     """
     if limits is not None:
         ends, key_frames = limits
@@ -280,8 +280,8 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
         kv_in = layer_norm(_rows(keys), w.ln1_gamma, w.ln1_beta)
         k = _project(kv_in, wk, keys.shape)
         v = _project(kv_in, wv, keys.shape)
-        yield batch, v, [share(batch, runs[i::workers], kv_in, k, work)
-                         for i, work in enumerate(works)]
+        yield batch, runs, v, [share(batch, runs[i::workers], kv_in, k, work)
+                               for i, work in enumerate(works)]
 
 
 def _head_scores(q: np.ndarray, k: np.ndarray, heads: int,
@@ -327,12 +327,11 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     keys/values from kv (B, K, C).  A group's workers write each tile's
     context, rounded to x_q's dtype, into that tile's rows of the output;
     once all have stopped, the calling thread runs W_o, the residual, LN2 and
-    the MLP over the group in QUERY_TILE-row tiles and writes the block's
-    output over those rows.  So the MLP's temporaries never overlap another
+    the MLP on the same tiles, one after another, and writes the block's
+    output over their rows.  So the MLP's temporaries never overlap another
     worker's, and the block's allocation peak does not depend on thread
-    timing.  Each head's context is its softmax numerators
-    times V, divided by the row sums afterwards: a (q, d) divide instead of a
-    (q, K) one."""
+    timing.  Each head's context is its softmax numerators times V, divided
+    by the row sums afterwards: a (q, d) divide instead of a (q, K) one."""
     wo, w1, w2 = (m.astype(np.float64) for m in (w.wo, w.w1, w.w2))
     out = np.empty_like(x_q)
 
@@ -344,10 +343,10 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
                 np.divide(e @ v[..., cols], denom, out=ctx[..., cols])
             out[batch, queries] = ctx
 
-    for batch, v, shares in _scores(x_q, kv, w, limits, _WORKERS):
+    for batch, runs, v, shares in _scores(x_q, kv, w, limits, _WORKERS):
         _run_shares([functools.partial(attend, batch, v, share) for share in shares])
-        for lo in range(0, x_q.shape[1], QUERY_TILE):
-            tile = (batch, slice(lo, lo + QUERY_TILE))
+        for queries in runs:
+            tile = (batch, queries)
             y = _rows(x_q[tile]) + matmul(_rows(out[tile]), wo)
             y += mlp(layer_norm(y, w.ln2_gamma, w.ln2_beta), w1, w.b1, w2, w.b2)
             out[tile] = y.reshape(out[tile].shape)
@@ -361,7 +360,7 @@ def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights) ->
     Diagnostic path: materializes every head, so keep inputs desk-scale.
     """
     out = np.empty((w.heads, x_q.shape[0], kv.shape[0]))
-    for _, _, (share,) in _scores(x_q[None], kv[None], w, None):
+    for _, _, _, (share,) in _scores(x_q[None], kv[None], w, None):
         for rows, heads in share:
             # each head is copied out before the next one overwrites the workspace
             for h, (_, scores) in enumerate(heads):
@@ -401,13 +400,13 @@ def descriptor_attention(t: TokenTensor, bundle: DescriptorBundle, w: BlockWeigh
     Masks apply through descriptor provenance frames, so anchors copied from
     frame f are hidden from queries that may not see frame f yet.
     """
+    if not bundle.count:
+        raise ValueError("descriptor_attention got an empty bundle: no keys to attend to")
     if bundle.channels != t.channels:
         raise ValueError(f"bundle channels {bundle.channels} != token channels {t.channels}")
     if w.channels != t.channels:
         raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
-    limits = None
-    if mask.cuts:
-        limits = mask.limits(t.token_frames(), bundle.frames)
+    limits = mask.limits(t.token_frames(), bundle.frames) if mask.cuts else None
     out = _attention_block(t.flat()[None], bundle.descriptors[None], w, limits)
     return t.with_values(out.reshape(t.values.shape))
 
@@ -426,7 +425,7 @@ def attention_score_histogram(t: TokenTensor, w: BlockWeights, mode: str
     edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
     x = t.values if mode == "frame" else t.flat()[None]
-    for _, _, (share,) in _scores(x, x, w, None):
+    for _, _, _, (share,) in _scores(x, x, w, None):
         for _, heads in share:
             for _, scores in heads:
                 counts += np.histogram(stable_softmax_rows(scores, out=scores),

@@ -20,9 +20,9 @@ from descattn.attention import (AttentionMask, BlockWeights, MaskedRowWarning,
                                 attention_probabilities, attention_score_histogram,
                                 dense_global_attention, descriptor_attention,
                                 frame_attention, init_block_weights)
-from descattn.compression import (CompressionMethod, KeyframeSelector, build_bundle,
-                                  select_keyframes)
-from descattn.kernels import layer_norm, rng, softmax_numerators
+from descattn.compression import (CompressionMethod, DescriptorBundle, KeyframeSelector,
+                                  build_bundle, select_keyframes)
+from descattn.kernels import layer_norm, mlp, rng, softmax_numerators
 from descattn.tokens import FrameLayout, TokenTensor, generate_synthetic
 
 DESK = FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=32)
@@ -211,6 +211,13 @@ class TestDescriptorOracle:
         with pytest.raises(ValueError, match="channels"):
             descriptor_attention(t, bundle, init_block_weights(1, 32, 4))
 
+    def test_empty_bundle_rejected(self):
+        t = generate_synthetic(2, DESK, 1)
+        w = init_block_weights(1, 32, 4)
+        for mask in (AttentionMask(), AttentionMask.frame_causal(2)):
+            with pytest.raises(ValueError, match="empty bundle"):
+                descriptor_attention(t, DescriptorBundle.empty(32), w, mask)
+
 
 class TestOneScorePath:
     @pytest.mark.parametrize("mode", ["dense", "descriptor"])
@@ -320,6 +327,25 @@ class TestQueryTiles:
                  for lo in range(0, q, tile)]
         assert len(parts) == 4
         assert np.array_equal(whole, np.concatenate(parts, axis=1))
+
+    def test_tail_runs_on_the_attention_tiles(self, monkeypatch):
+        # W_o, LN2 and the MLP take the score path's tiles: 128-row runs of a
+        # global block, one whole-frame group of frame attention at a time
+        rows = []
+
+        def recording(x, *weights):
+            rows.append(x.shape[0])
+            return mlp(x, *weights)
+
+        monkeypatch.setattr(attention, "mlp", recording)
+        t = generate_synthetic(8, DESK, 52)
+        w = init_block_weights(53, 32, 4)
+        run = attention.QUERY_TILE // attention._MAX_WORKERS
+        descriptor_attention(t, build_bundle(t, CompressionMethod("bilinear", 4)), w)
+        assert rows == [run] * 4 + [t.total_tokens - 4 * run]
+        rows.clear()
+        frame_attention(t, w)
+        assert rows == [207, 207, 138]  # 3, 3 and 2 frames of 69 tokens
 
     def test_multi_tile_dense_matches_float64_oracle(self, monkeypatch):
         t = generate_synthetic(8, DESK, 34, dtype=np.float64)
@@ -444,6 +470,32 @@ class TestWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert max(peaks) - min(peaks) < 0.01 * reference, peaks
+
+    def test_cross_attention_peak_does_not_depend_on_thread_timing(self, monkeypatch):
+        # cross-attention workers run LN1 and the Q projection on every tile,
+        # and none of their temporaries may outgrow the caller's W_o/LN2/MLP
+        monkeypatch.setattr(attention, "_WORKERS", 2)
+        t = generate_synthetic(8, DESK, 50)
+        w = init_block_weights(51, 32, 4)
+        bundle = build_bundle(t, CompressionMethod("bilinear", 2),
+                              select_keyframes(t, KeyframeSelector(interval=2)))
+        descriptor_attention(t, bundle, w)  # makes the pool before any peak
+
+        def peak():
+            tracemalloc.start()
+            try:
+                descriptor_attention(t, bundle, w)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            peaks = [peak() for _ in range(6)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(peaks) - min(peaks) < 0.01 * min(peaks), peaks
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_makes_its_own_pool(self):
