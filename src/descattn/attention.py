@@ -11,48 +11,67 @@ One private score path (LN1, the Q/K projections, the per-head scaled scores
 and the mask) serves the forward of every kernel, the diagnostic
 ``attention_probabilities`` and the score histogram.  The queries are scaled
 by 1 / sqrt(C / heads) once per tile, before the scores, so no pass over a
-score array scales it.  The forward takes ``softmax_numerators`` of each
-head's scores and divides the (q, d) product of those numerators and V by
-the row sums, instead of dividing the (q, K) numerators; the diagnostics
-take ``stable_softmax_rows`` of the same scores, which is those numerators
-divided by those sums, so their probabilities are bitwise the ones the
-forward's context is built from.  The path works on a leading batch axis:
-frame attention is one call with the frames as the batch, and the global
-kernels are one call with a batch of one.
+score array scales it.  The forward takes ``softmax_numerators`` of the
+scores (one head's, or all heads' at once) and divides the (q, d) product of
+those numerators and V by the row sums, instead of dividing the (q, K)
+numerators; the diagnostics take ``stable_softmax_rows`` of the same scores,
+which is those numerators divided by those sums, so their probabilities are
+bitwise the ones the forward's context is built from.  The path works on a
+leading batch axis: frame attention is one call with the frames as the
+batch, and the global kernels are one call with a batch of one.
 
-Every block is query-tiled, with no untiled path, and the tiles are fixed:
-frame attention tiles by whole frames (QUERY_TILE // N of them, at least
-one) and the global kernels by runs of at most QUERY_TILE // _MAX_WORKERS
-query rows, as is a frame longer than that.  A block runs its tiles on W
-workers: one per CPU this process may run on, and at most _MAX_WORKERS, the
-most that has been measured.  W decides only which thread runs a tile, never
-which tiles exist, so every forward and the diagnostics make the same BLAS
-calls on the same shapes, and their bits do not depend on the CPU count.
-LN1 and the K/V projections run once, on the calling thread, over the keys a
-tile group shares (a group of frames, or the whole key set of a global
-block).  The group's tiles are then dealt round-robin, tile i to worker
-i mod W: the calling thread is worker 0, and one module-level pool of
-_MAX_WORKERS - 1 threads, made on first use, runs the others.  A worker runs
-a tile's Q projection, scores, softmax and context before its next tile
-starts, and writes only that tile's rows of the output, so the output does
-not depend on scheduling.  Once every worker of a group has stopped, the
-calling thread runs W_o, LN2 and the MLP on each of the group's tiles in
-turn, so a block has one tiling and no MLP temporary overlaps another
-worker's: a block's allocation peak does not depend on thread timing.  Each
-worker runs in a copy of the calling thread's context, so numpy's
-``errstate`` and buffer size reach the pool threads, and a worker's
-exception is raised in the caller once every share has stopped.  A group
-with one tile runs on the calling thread alone, and with W = 1 there is no
-pool.  Each row's softmax still sees all of its keys, so tiling is exact.
-Each worker owns one (b, <= QUERY_TILE // _MAX_WORKERS, K) float64 score
-workspace, allocated once per block call, which its tiles and heads fill
-with scores and run the softmax (or its numerators) in place, so a yielded
-score array is valid only until that worker's next (tile, head).  The
-workspaces hold at most b * QUERY_TILE * K elements together, so a block's
-activation peak stays O(QUERY_TILE * K), not O(Q * K).  Weights are cast to
-float64 once per block call, not once per tile.  The diagnostics
-(``attention_probabilities``, the histogram) take the same score path and
-the same tiles on the calling thread alone.
+Every block is query-tiled, and the tiles are fixed: frame attention tiles
+by whole frames (QUERY_TILE // N of them, at least one) and the global
+kernels by runs of at most QUERY_TILE // _MAX_WORKERS query rows, as is a
+frame longer than that.  A block runs its tiles on W workers: one per CPU
+this process may run on, and at most _MAX_WORKERS, the most that has been
+measured.  W decides only which thread runs a tile, never which tiles exist,
+so every forward and the diagnostics make the same BLAS calls on the same
+shapes, and their bits do not depend on the CPU count.  The calling thread
+is worker 0, and one module-level pool of _MAX_WORKERS - 1 threads, made on
+first use, runs the others.  Each worker runs in a copy of the calling
+thread's context, so numpy's ``errstate`` and buffer size reach the pool
+threads, and a worker's exception is raised in the caller once every share
+has stopped.  A single share runs on the calling thread alone, and with
+W = 1 there is no pool.  Each row's softmax still sees all of its keys, so
+tiling is exact.  Weights are cast to float64 once per block call, not once
+per tile.  A block takes one of two forms, chosen from QUERY_TILE,
+_MAX_WORKERS and its shapes alone:
+
+* Whole groups, when a batch item's queries and its keys each fit one run
+  (every frame of 69 tokens here).  Each group of frames is then one
+  tile, and the groups are dealt round-robin, group i to worker i mod W.  A
+  worker runs a group whole: LN1, the Q/K/V projections, all heads' scores
+  in one (b, H, q, K) float64 array, one softmax, one P·V and one divide;
+  it writes the context into the group's output rows, drops the scores and
+  projections, and runs W_o, LN2 and the MLP on those rows.  A group's
+  scores hold at most heads * QUERY_TILE * (QUERY_TILE // _MAX_WORKERS)
+  elements, and a worker holds one group at a time, so a block's
+  allocation peak is at most the output plus W times the most one worker
+  adds alone; where in that range it lands depends on thread timing.
+* Tiled, every other block (every global block here).  LN1 and the K/V
+  projections run once, on the calling thread, over the keys a tile group
+  shares (a group of frames, or the whole key set of a global block).  The
+  group's tiles are then dealt round-robin, tile i to worker i mod W.  A
+  worker runs a tile's Q projection, scores, softmax and context head by
+  head before its next tile starts, and writes only that tile's rows of the
+  output.  Each worker owns one (b, <= QUERY_TILE // _MAX_WORKERS, K)
+  float64 score workspace, allocated once per block call, which its tiles
+  and heads fill with scores and run the softmax (or its numerators) in
+  place, so a yielded score array is valid only until that worker's next
+  (tile, head).  The workspaces hold at most b * QUERY_TILE * K elements
+  together, so a block's activation peak stays O(QUERY_TILE * K), not
+  O(Q * K).  Once every worker of a group has stopped, the calling thread
+  runs W_o, LN2 and the MLP on each of the group's tiles in turn, so a
+  block has one tiling and no MLP temporary overlaps another worker's: a
+  tiled block's allocation peak does not depend on thread timing.
+
+Either way each worker writes only its own tiles' output rows, so the output
+does not depend on scheduling, and per (batch item, head) both forms make
+the same matrix products on the same shapes and strides, so they give the
+same bits.  The diagnostics (``attention_probabilities``, the histogram)
+take the same score path, in the same form and on the same tiles, on the
+calling thread alone.
 
 A mask's cuts split the frames into blocks, and a query sees only the keys
 whose provenance frame does not lie past its own block.  With cuts, each
@@ -215,7 +234,8 @@ def _tiles(batch: int, queries: int) -> list[tuple[slice, list[slice]]]:
     _MAX_WORKERS is split into runs of that many rows, so every worker can
     take a share of a group's runs.  A tile is a group's batch slice with one
     of its query slices, so it holds at most QUERY_TILE rows, and the first
-    is the largest.
+    is the largest.  A group with one run is one tile; ``_whole_groups``
+    says whether such groups run whole.
     """
     per = max(1, QUERY_TILE // max(queries, 1))
     rows = QUERY_TILE // _MAX_WORKERS
@@ -223,9 +243,22 @@ def _tiles(batch: int, queries: int) -> list[tuple[slice, list[slice]]]:
     return [(slice(lo, min(lo + per, batch)), runs) for lo in range(0, batch, per)]
 
 
+def _whole_groups(queries: int, keys: int) -> bool:
+    """Whether a block's groups run whole, one group per worker with all heads
+    at once: each group is one tile (queries per batch item fit one run) and
+    its keys per batch item fit one run too."""
+    run = QUERY_TILE // _MAX_WORKERS
+    return queries <= run and keys <= run
+
+
 def _project(rows: np.ndarray, w64: np.ndarray, shape: tuple) -> np.ndarray:
     """Q/K/V projection: the product rounds to the rows' dtype, then widens."""
     return matmul(rows, w64).astype(np.float64).reshape(shape)
+
+
+def _by_head(x: np.ndarray, heads: int) -> np.ndarray:
+    """The (b, heads, rows, d) view of a (b, rows, heads * d) array."""
+    return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-2, -3)
 
 
 def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
@@ -234,22 +267,41 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
 
     ``x_q`` is (B, Q, C) and ``kv`` is (B, K, C): batch item b's queries see
     only batch item b's keys.  ``limits`` is ``AttentionMask.limits`` of a
-    batch of one, or None when every key is visible.  For each group of
-    ``_tiles(B, Q)`` it runs LN1 and the K/V projections over the group's
-    keys once and yields (batch slice, query runs, (b, K, C) float64 values,
-    shares).  The group's query runs are dealt round-robin into the shares,
-    run i to share i mod ``workers``, leaving out empty shares.  A share is a
-    generator of its tiles: for each it runs LN1 (for self-attention, the key
-    rows already normed) and the Q projection on the tile's rows, scales that
-    float64 projection by 1 / sqrt(C / heads) in place, once for all heads,
-    and yields (query slice, heads), where ``heads`` yields each head's
-    (channel slice, (b, q, K) float64 scores) in turn, hidden keys at -inf.
-    Share i writes every tile and head into its own (b, <= QUERY_TILE //
-    _MAX_WORKERS, K) workspace, allocated once per call, which the caller's
-    softmax may overwrite in place, so a yielded array is valid only until
-    that share's next (tile, head): finish a tile's heads before asking the
-    share for its next tile.  Shares of one group may run on different
-    threads at once, each in the context of the thread that iterates it.
+    batch of one, or None when every key is visible.  It yields rounds of
+    (tiles, shares): the shares of a round may run on different threads at
+    once, each in the context of the thread that iterates it, and ``tiles``
+    lists the round's (batch slice, query slice) tiles in order.  A share
+    yields (tile, heads) for each of its tiles, and ``heads`` yields (head,
+    scores, values): the scores of the tile's queries against its keys,
+    scaled, hidden keys at -inf, and the values of the same heads, (b, K, d)
+    for one head and (b, H, K, d) for all.  A tile runs LN1 (for
+    self-attention, the key rows already normed) and the Q projection on its
+    rows, and scales that float64 projection by 1 / sqrt(C / heads) in
+    place, once for all heads.
+
+    The rounds take one of two forms, chosen by ``_whole_groups`` from the
+    shapes alone:
+
+    * Tiled, one round per group of ``_tiles(B, Q)``: LN1 and the K/V
+      projections run over the group's keys once, as the round is made, and
+      the group's query runs are dealt round-robin into the shares, run i to
+      share i mod ``workers``, leaving out empty shares.  ``heads`` yields
+      one head at a time, ``head`` its index, with (b, q, K) scores that
+      share i writes into its own (b, <= QUERY_TILE // _MAX_WORKERS, K)
+      workspace, allocated once per call; the caller's softmax may
+      overwrite it in place, so a yielded array is valid only until that
+      share's next (tile, head): finish a tile's heads before asking the
+      share for its next tile.
+    * Whole groups, one round: the groups are dealt round-robin into the
+      shares, group i to share i mod ``workers``.  Each is one tile, whose
+      ``heads`` runs LN1 and the K/V projections over its own keys and
+      yields once, ``head`` being ``slice(None)``, with all heads' scores in
+      one fresh (b, H, q, K) array.  Once ``heads`` is exhausted it holds
+      none of them, so the tile's scores and projections live only as long
+      as the caller keeps them.
+
+    Per (batch item, head) the two forms make the same matrix products on
+    the same shapes and strides, so their scores are bitwise equal.
     """
     if limits is not None:
         ends, key_frames = limits
@@ -260,39 +312,53 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     wq, wk, wv = (m.astype(np.float64) for m in (w.wq, w.wk, w.wv))
     inv_sqrt_d = 1.0 / np.sqrt(w.channels // w.heads)
     groups = _tiles(*x_q.shape[:2])
+
+    def keys(batch):
+        rows = kv[batch]
+        kv_in = layer_norm(_rows(rows), w.ln1_gamma, w.ln1_beta)
+        return kv_in, _project(kv_in, wk, rows.shape), _project(kv_in, wv, rows.shape)
+
+    def heads(batch, queries, group_keys, work):
+        # a whole group projects its own keys, on the thread that runs it
+        kv_in, k, v = group_keys or keys(batch)
+        x = x_q[batch, queries]
+        q_in = (_rows(kv_in.reshape(k.shape)[:, queries]) if kv is x_q
+                else layer_norm(_rows(x), w.ln1_gamma, w.ln1_beta))
+        q = _project(q_in, wq, x.shape)
+        q *= inv_sqrt_d
+        hidden = None if limits is None else key_frames > ends[queries, None]
+        yield from _head_scores(q, k, v, w.heads, hidden,
+                                None if work is None else work[:x.shape[0], :x.shape[1]])
+
+    def share(tiles, group_keys=None, work=None):
+        for batch, queries in tiles:
+            yield (batch, queries), heads(batch, queries, group_keys, work)
+
+    if _whole_groups(x_q.shape[1], kv.shape[1]):
+        tiles = [(batch, runs[0]) for batch, runs in groups]
+        yield tiles, [share(tiles[i::workers]) for i in range(min(workers, len(tiles)))]
+        return
     largest = x_q[groups[0][0], groups[0][1][0]]
     works = [np.empty(largest.shape[:2] + kv.shape[1:2])
              for _ in range(min(workers, len(groups[0][1])))]
-
-    def share(batch, runs, kv_in, k, work):
-        for queries in runs:
-            x = x_q[batch, queries]
-            q_in = (_rows(kv_in.reshape(k.shape)[:, queries]) if kv is x_q
-                    else layer_norm(_rows(x), w.ln1_gamma, w.ln1_beta))
-            q = _project(q_in, wq, x.shape)
-            q *= inv_sqrt_d
-            hidden = None if limits is None else key_frames > ends[queries, None]
-            yield queries, _head_scores(q, k, w.heads, hidden,
-                                        work[:x.shape[0], :x.shape[1]])
-
     for batch, runs in groups:
-        keys = kv[batch]
-        kv_in = layer_norm(_rows(keys), w.ln1_gamma, w.ln1_beta)
-        k = _project(kv_in, wk, keys.shape)
-        v = _project(kv_in, wv, keys.shape)
-        yield batch, runs, v, [share(batch, runs[i::workers], kv_in, k, work)
-                               for i, work in enumerate(works)]
+        tiles = [(batch, queries) for queries in runs]
+        group_keys = keys(batch)
+        yield tiles, [share(tiles[i::workers], group_keys, work)
+                      for i, work in enumerate(works)]
 
 
-def _head_scores(q: np.ndarray, k: np.ndarray, heads: int,
-                 hidden: np.ndarray | None, scores: np.ndarray):
-    d = q.shape[-1] // heads
-    for lo in range(0, q.shape[-1], d):
-        cols = slice(lo, lo + d)
-        np.matmul(q[..., cols], k[..., cols].swapaxes(-1, -2), out=scores)
+def _head_scores(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+                 hidden: np.ndarray | None, work: np.ndarray | None):
+    """(head, scores, values) of (b, q, C) queries against (b, K, C) keys:
+    head by head into ``work`` when it is given, all heads at once into a
+    fresh array when it is None."""
+    q, k, v = (_by_head(x, heads) for x in (q, k, v))
+    for h in (slice(None),) if work is None else range(heads):
+        scores = np.matmul(q[:, h], k[:, h].swapaxes(-1, -2), out=work)
         if hidden is not None:
             np.copyto(scores, -np.inf, where=hidden)
-        yield cols, scores
+        yield h, scores, v[:, h]
 
 
 @functools.cache
@@ -324,32 +390,47 @@ def _run_shares(calls: list) -> None:
 def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
                      limits: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """One full pre-norm block over a batch; queries from x_q (B, Q, C),
-    keys/values from kv (B, K, C).  A group's workers write each tile's
-    context, rounded to x_q's dtype, into that tile's rows of the output;
-    once all have stopped, the calling thread runs W_o, the residual, LN2 and
-    the MLP on the same tiles, one after another, and writes the block's
-    output over their rows.  So the MLP's temporaries never overlap another
-    worker's, and the block's allocation peak does not depend on thread
-    timing.  Each head's context is its softmax numerators times V, divided
-    by the row sums afterwards: a (q, d) divide instead of a (q, K) one."""
+    keys/values from kv (B, K, C).  A worker writes each tile's context,
+    rounded to x_q's dtype, into that tile's rows of the output; the tail
+    (W_o, the residual, LN2 and the MLP) then writes the block's output over
+    the same rows.  Each head's context is its softmax numerators times V,
+    divided by the row sums afterwards: a (q, d) divide instead of a (q, K)
+    one.
+
+    In the tiled form of ``_scores`` the calling thread runs the tails of a
+    group's tiles one after another once all of its workers have stopped,
+    so the MLP's temporaries never overlap another worker's and the block's
+    allocation peak does not depend on thread timing.  A whole group's tail
+    runs on its own worker as soon as the group's context is written, after
+    its score array and projections are dropped."""
+    whole = _whole_groups(x_q.shape[1], kv.shape[1])
     wo, w1, w2 = (m.astype(np.float64) for m in (w.wo, w.w1, w.w2))
     out = np.empty_like(x_q)
 
-    def attend(batch, v, share):
-        for queries, heads in share:
-            ctx = np.empty(x_q[batch, queries].shape, dtype=np.float64)
-            for cols, scores in heads:
-                e, denom = softmax_numerators(scores, out=scores)
-                np.divide(e @ v[..., cols], denom, out=ctx[..., cols])
-            out[batch, queries] = ctx
+    def context(tile, heads):
+        ctx = np.empty(x_q[tile].shape, dtype=np.float64)
+        by_head = _by_head(ctx, w.heads)
+        for h, scores, v in heads:
+            e, denom = softmax_numerators(scores, out=scores)
+            np.divide(e @ v, denom, out=by_head[:, h])
+        out[tile] = ctx
 
-    for batch, runs, v, shares in _scores(x_q, kv, w, limits, _WORKERS):
-        _run_shares([functools.partial(attend, batch, v, share) for share in shares])
-        for queries in runs:
-            tile = (batch, queries)
-            y = _rows(x_q[tile]) + matmul(_rows(out[tile]), wo)
-            y += mlp(layer_norm(y, w.ln2_gamma, w.ln2_beta), w1, w.b1, w2, w.b2)
-            out[tile] = y.reshape(out[tile].shape)
+    def tail(tile):
+        y = _rows(x_q[tile]) + matmul(_rows(out[tile]), wo)
+        y += mlp(layer_norm(y, w.ln2_gamma, w.ln2_beta), w1, w.b1, w2, w.b2)
+        out[tile] = y.reshape(out[tile].shape)
+
+    def attend(share):
+        for tile, heads in share:
+            context(tile, heads)  # holds the tile's scores and projections
+            if whole:
+                tail(tile)
+
+    for tiles, shares in _scores(x_q, kv, w, limits, _WORKERS):
+        _run_shares([functools.partial(attend, share) for share in shares])
+        if not whole:
+            for tile in tiles:
+                tail(tile)
     return out
 
 
@@ -360,10 +441,10 @@ def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights) ->
     Diagnostic path: materializes every head, so keep inputs desk-scale.
     """
     out = np.empty((w.heads, x_q.shape[0], kv.shape[0]))
-    for _, _, _, (share,) in _scores(x_q[None], kv[None], w, None):
-        for rows, heads in share:
+    for _, (share,) in _scores(x_q[None], kv[None], w, None):
+        for (_, rows), heads in share:
             # each head is copied out before the next one overwrites the workspace
-            for h, (_, scores) in enumerate(heads):
+            for h, scores, _ in heads:
                 out[h, rows] = stable_softmax_rows(scores, out=scores)[0]
     return out
 
@@ -425,9 +506,9 @@ def attention_score_histogram(t: TokenTensor, w: BlockWeights, mode: str
     edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
     x = t.values if mode == "frame" else t.flat()[None]
-    for _, _, _, (share,) in _scores(x, x, w, None):
+    for _, (share,) in _scores(x, x, w, None):
         for _, heads in share:
-            for _, scores in heads:
+            for _, scores, _ in heads:
                 counts += np.histogram(stable_softmax_rows(scores, out=scores),
                                        bins=edges)[0]
     return counts, edges

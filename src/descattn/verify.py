@@ -208,8 +208,11 @@ def check_masked_independence(seed: int) -> None:
 
 def check_worker_count_invariance(seed: int) -> None:
     """One worker and two give the same bits, in float32 and in float64.
-    Two workers deal the 128-row query tiles round-robin to this thread and
-    a pool thread, whatever the CPU count; one runs the same tiles here."""
+    Two workers deal the tiles round-robin to this thread and a pool thread,
+    whatever the CPU count; one runs the same tiles here.  The offline
+    forwards' frame attention deals whole groups of 3, 3 and 2 frames, all
+    heads at once; every global block, the stream's included, deals 128-row
+    query tiles, head by head."""
     saved = attention._WORKERS
     try:
         for dtype in (np.float32, np.float64):

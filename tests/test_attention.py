@@ -266,6 +266,36 @@ class TestOneScorePath:
                            for head in forward_probs[1:])
             assert np.array_equal(probs, forward_probs), workers
 
+    @pytest.mark.parametrize("mode", ["frame", "descriptor"])
+    def test_one_tile_probabilities_take_all_heads_at_once(self, mode, monkeypatch):
+        # one frame's 69 queries are one tile, and its keys fit one run too,
+        # so the forward and the diagnostics score all heads in one array
+        t = generate_synthetic(1, DESK, 54)
+        w = init_block_weights(55, 32, 4)
+        if mode == "frame":
+            kv = t.values[0]
+            forward = functools.partial(frame_attention, t, w)
+        else:
+            bundle = build_bundle(t, CompressionMethod("bilinear", 2))
+            kv = bundle.descriptors
+            forward = functools.partial(descriptor_attention, t, bundle, w)
+        assert attention._whole_groups(t.total_tokens, kv.shape[0])
+        probs = attention_probabilities(t.flat(), kv, w)
+        seen = []
+
+        def recording(scores, out=None):
+            e, denom = softmax_numerators(scores, out=out)
+            seen.append(e / denom)
+            return e, denom
+
+        monkeypatch.setattr(attention, "softmax_numerators", recording)
+        forward()
+        (forward_probs,) = seen
+        assert forward_probs.shape == (1, w.heads, t.total_tokens, kv.shape[0])
+        assert not all(np.array_equal(forward_probs[0, 0], head)
+                       for head in forward_probs[0, 1:])
+        assert np.array_equal(probs, forward_probs[0])
+
 
 class TestScoreWorkspace:
     def test_dense_peak_is_about_one_score_matrix(self, monkeypatch):
@@ -345,7 +375,8 @@ class TestQueryTiles:
         assert rows == [run] * 4 + [t.total_tokens - 4 * run]
         rows.clear()
         frame_attention(t, w)
-        assert rows == [207, 207, 138]  # 3, 3 and 2 frames of 69 tokens
+        # 3, 3 and 2 frames of 69 tokens, whose tails may run on two threads
+        assert sorted(rows) == [138, 207, 207]
 
     def test_multi_tile_dense_matches_float64_oracle(self, monkeypatch):
         t = generate_synthetic(8, DESK, 34, dtype=np.float64)
@@ -389,7 +420,7 @@ class TestQueryTiles:
 
 class TestWorkers:
     """Two workers, whatever the CPU count: this thread and one pool thread,
-    on the 128-row tiles of 552 queries."""
+    on the 128-row tiles of 552 queries or on whole frame groups."""
 
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
@@ -496,6 +527,87 @@ class TestWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert max(peaks) - min(peaks) < 0.01 * min(peaks), peaks
+
+    def test_frame_groups_run_whole_on_both_threads(self, monkeypatch):
+        # 8 frames make groups of 3, 3 and 2 frames, each one tile with its
+        # keys in one run: group i runs whole on worker i mod 2, all heads in
+        # one softmax call, and this thread is worker 0
+        t = generate_synthetic(8, DESK, 56)
+        w = init_block_weights(57, 32, 4)
+        frame_probs = [attention_probabilities(x, x, w) for x in t.values]
+        seen = {}
+
+        def recording(scores, out=None):
+            e, denom = softmax_numerators(scores, out=out)
+            seen.setdefault(threading.get_ident(), []).append(e / denom)
+            return e, denom
+
+        monkeypatch.setattr(attention, "softmax_numerators", recording)
+        frame_attention(t, w)
+        caller = seen.pop(threading.get_ident())
+        (worker,) = seen.values()
+
+        def frames(calls):
+            # which frames each call scored, found by their probabilities
+            return [[i for probs in call for i, p in enumerate(frame_probs)
+                     if np.array_equal(p, probs)] for call in calls]
+
+        assert frames(caller) == [[0, 1, 2], [6, 7]]
+        assert frames(worker) == [[3, 4, 5]]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_frame_groups_match_one_worker_under_frequent_switches(self, dtype,
+                                                                   monkeypatch):
+        t = generate_synthetic(8, DESK, 58, dtype=dtype)
+        w = init_block_weights(59, 32, 4, dtype)
+        monkeypatch.setattr(attention, "_WORKERS", 1)
+        expect = frame_attention(t, w).values
+        monkeypatch.setattr(attention, "_WORKERS", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [frame_attention(t, w).values for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for out in runs:
+            assert np.array_equal(out, expect)
+
+    def test_frame_attention_peak_is_at_most_two_workers_alone(self, monkeypatch):
+        """A whole group's worker holds one group at a time: its scores and
+        projections, then its tail's temporaries.  At W = 1 the peak is the
+        output plus the most one worker adds, weights included; at W = 2 the
+        two workers' footprints may overlap, so whatever the thread timing a
+        peak is at most out + 2 * (W = 1 peak - out).  On the benchmark's
+        descriptor recipe at S = 64 that stays under the global block's, so
+        the forward's peak is the global block's; at S <= 32 it does not."""
+        t = generate_synthetic(64, DESK, 60)
+        w = init_block_weights(61, 32, 4)
+        bundle = build_bundle(t, CompressionMethod("bilinear", 4), select_keyframes(
+            t, KeyframeSelector("cluster", 32, 61)))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        frame = functools.partial(frame_attention, t, w)
+        global_peak = peak(functools.partial(descriptor_attention, t, bundle, w))
+        monkeypatch.setattr(attention, "_WORKERS", 1)
+        alone = peak(frame)
+        monkeypatch.setattr(attention, "_WORKERS", 2)
+        frame()  # makes the pool before any peak
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            peaks = [peak(frame) for _ in range(6)]
+        finally:
+            sys.setswitchinterval(interval)
+        out = t.values.nbytes
+        assert max(peaks) <= out + 2 * (alone - out), (peaks, alone)
+        assert max(peaks) < global_peak, (peaks, global_peak)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_makes_its_own_pool(self):
