@@ -56,15 +56,27 @@ _MAX_WORKERS and its shapes alone:
   worker runs a tile's Q projection, scores, softmax and context head by
   head before its next tile starts, and writes only that tile's rows of the
   output.  Each worker owns one (b, <= QUERY_TILE // _MAX_WORKERS, K)
-  float64 score workspace, allocated once per block call, which its tiles
-  and heads fill with scores and run the softmax (or its numerators) in
-  place, so a yielded score array is valid only until that worker's next
-  (tile, head).  The workspaces hold at most b * QUERY_TILE * K elements
-  together, so a block's activation peak stays O(QUERY_TILE * K), not
-  O(Q * K).  Once every worker of a group has stopped, the calling thread
-  runs W_o, LN2 and the MLP on each of the group's tiles in turn, so a
-  block has one tiling and no MLP temporary overlaps another worker's: a
-  tiled block's allocation peak does not depend on thread timing.
+  float64 score workspace, allocated once per block call, after the first
+  group's K/V projections, which its tiles and heads fill with scores and
+  run the softmax (or its numerators) in place, so a yielded score array is
+  valid only until that worker's next (tile, head).  The workspaces hold at
+  most b * QUERY_TILE * K elements together, so a block's activation peak
+  stays O(QUERY_TILE * K), not O(Q * K).  Once every worker of a group has
+  stopped, the calling thread runs W_o, LN2 and the MLP on each of the
+  group's tiles in turn, so a block has one tiling and no MLP temporary
+  overlaps another worker's: a tiled block's allocation peak does not
+  depend on thread timing.
+
+Each array is held only until its last use.  The keys' LN1 rows outlive the
+K/V projections only in self-attention, where they are also the queries'
+LN1 rows; a tiled group's keys are dropped before the next group's are
+projected; a tile drops its LN1 rows once its Q projection exists.  So a
+tiled block peaks in a tail's GELU, with the output, the workspaces and the
+group's K/V (and, in self-attention, its LN1 rows) alive beside the tail's
+two (rows, 4C) float64 GELU arrays and its two (rows, C) row blocks, the
+residual sum and its LN2.  The workers' per-tile temporaries stay under that
+tail, which is why the workspaces and K/V are not freed before it: the peak
+would then move with thread timing.
 
 Either way each worker writes only its own tiles' output rows, so the output
 does not depend on scheduling, and per (batch item, head) both forms make
@@ -279,6 +291,11 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     rows, and scales that float64 projection by 1 / sqrt(C / heads) in
     place, once for all heads.
 
+    LN1 and the K/V projections keep the keys' LN1 rows only in
+    self-attention (``kv is x_q``), for the queries; cross-attention drops
+    them once K and V exist.  A tile drops its LN1 rows once its Q
+    projection exists.
+
     The rounds take one of two forms, chosen by ``_whole_groups`` from the
     shapes alone:
 
@@ -288,10 +305,13 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
       share i mod ``workers``, leaving out empty shares.  ``heads`` yields
       one head at a time, ``head`` its index, with (b, q, K) scores that
       share i writes into its own (b, <= QUERY_TILE // _MAX_WORKERS, K)
-      workspace, allocated once per call; the caller's softmax may
-      overwrite it in place, so a yielded array is valid only until that
-      share's next (tile, head): finish a tile's heads before asking the
-      share for its next tile.
+      workspace, allocated once per call, after the first group's K/V; the
+      caller's softmax may overwrite it in place, so a yielded array is
+      valid only until that share's next (tile, head): finish a tile's
+      heads before asking the share for its next tile.  The workspaces and
+      a group's keys stay alive while the caller holds the round, and the
+      keys are dropped when it asks for the next one, before the next
+      group's are projected.
     * Whole groups, one round: the groups are dealt round-robin into the
       shares, group i to share i mod ``workers``.  Each is one tile, whose
       ``heads`` runs LN1 and the K/V projections over its own keys and
@@ -316,15 +336,19 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     def keys(batch):
         rows = kv[batch]
         kv_in = layer_norm(_rows(rows), w.ln1_gamma, w.ln1_beta)
-        return kv_in, _project(kv_in, wk, rows.shape), _project(kv_in, wv, rows.shape)
+        k, v = _project(kv_in, wk, rows.shape), _project(kv_in, wv, rows.shape)
+        # only self-attention reads the keys' LN1 rows again, as its queries'
+        return kv_in if kv is x_q else None, k, v
 
     def heads(batch, queries, group_keys, work):
         # a whole group projects its own keys, on the thread that runs it
         kv_in, k, v = group_keys or keys(batch)
         x = x_q[batch, queries]
-        q_in = (_rows(kv_in.reshape(k.shape)[:, queries]) if kv is x_q
-                else layer_norm(_rows(x), w.ln1_gamma, w.ln1_beta))
+        q_in = (layer_norm(_rows(x), w.ln1_gamma, w.ln1_beta) if kv_in is None
+                else _rows(kv_in.reshape(k.shape)[:, queries]))
+        del kv_in
         q = _project(q_in, wq, x.shape)
+        del q_in
         q *= inv_sqrt_d
         hidden = None if limits is None else key_frames > ends[queries, None]
         yield from _head_scores(q, k, v, w.heads, hidden,
@@ -339,13 +363,16 @@ def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
         yield tiles, [share(tiles[i::workers]) for i in range(min(workers, len(tiles)))]
         return
     largest = x_q[groups[0][0], groups[0][1][0]]
-    works = [np.empty(largest.shape[:2] + kv.shape[1:2])
-             for _ in range(min(workers, len(groups[0][1])))]
+    works = []
     for batch, runs in groups:
         tiles = [(batch, queries) for queries in runs]
         group_keys = keys(batch)
+        # made after the first K/V, so no workspace sits under a projection
+        works = works or [np.empty(largest.shape[:2] + kv.shape[1:2])
+                          for _ in range(min(workers, len(runs)))]
         yield tiles, [share(tiles[i::workers], group_keys, work)
                       for i, work in enumerate(works)]
+        del group_keys  # before the next group's keys are projected
 
 
 def _head_scores(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
@@ -400,9 +427,14 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     In the tiled form of ``_scores`` the calling thread runs the tails of a
     group's tiles one after another once all of its workers have stopped,
     so the MLP's temporaries never overlap another worker's and the block's
-    allocation peak does not depend on thread timing.  A whole group's tail
-    runs on its own worker as soon as the group's context is written, after
-    its score array and projections are dropped."""
+    allocation peak does not depend on thread timing.  That peak is in a
+    tail's GELU, while ``_scores`` still holds the workspaces and the
+    group's K/V: beside them are the output, the tail's two (rows, 4C)
+    float64 GELU arrays and its two (rows, C) row blocks (the residual sum
+    and its LN2), and no float32 pre-activation, since ``mlp`` hands that
+    to GELU alone.  A whole group's tail runs on its own worker as soon as
+    the group's context is written, after its score array and projections
+    are dropped."""
     whole = _whole_groups(x_q.shape[1], kv.shape[1])
     wo, w1, w2 = (m.astype(np.float64) for m in (w.wo, w.w1, w.w2))
     out = np.empty_like(x_q)

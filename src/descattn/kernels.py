@@ -177,9 +177,16 @@ def gelu(x: np.ndarray) -> np.ndarray:
     above; that order is pinned, because the float32 output bits (the golden
     checksum and the forward pins) depend on each rounding.  ``x`` itself is
     never written.
+
+    Two float64 arrays of ``x``'s shape are the most it holds at once: the
+    widened input and that temporary.  It drops its reference to ``x`` once
+    ``x`` is widened, so an input no caller keeps is freed there, and it
+    drops the temporary before the cast back.
     """
     x = np.asarray(x)
+    dtype = x.dtype
     x64 = x.astype(np.float64)
+    del x
     t = x64 * x64
     t *= x64
     t *= 0.044715
@@ -189,7 +196,15 @@ def gelu(x: np.ndarray) -> np.ndarray:
     t += 1.0
     x64 *= 0.5
     x64 *= t
-    return x64.astype(x.dtype, copy=False)
+    del t
+    return x64.astype(dtype, copy=False)
+
+
+def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a += b``, returning ``a``: a fresh ``a`` is then referenced only by
+    the expression that uses the sum."""
+    a += b
+    return a
 
 
 def mlp(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
@@ -197,13 +212,12 @@ def mlp(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
     """Two-layer feed-forward block: gelu(x @ w1 + b1) @ w2 + b2.
 
     Each bias is added in place to the fresh product ``matmul`` returns, so
-    the result has ``x``'s dtype and ``x`` is never written.
+    the result has ``x``'s dtype and ``x`` is never written.  The biased
+    pre-activation is handed to ``gelu`` and held nowhere else, so it is
+    freed once ``gelu`` has widened it: while GELU's two float64 temporaries
+    are alive, ``mlp`` holds only ``x`` beside them.
     """
-    hidden = matmul(x, w1)
-    hidden += b1
-    out = matmul(gelu(hidden), w2)
-    out += b2
-    return out
+    return _plus(matmul(gelu(_plus(matmul(x, w1), b1)), w2), b2)
 
 
 def half_pixel_centers(n_in: int, n_out: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Attention kernels: hand-computed cases, brute-force oracles, masks, the
-one score path, the score workspace, query tiles and the score histogram."""
+one score path, the score workspace, query tiles, workers, array liveness and
+the score histogram."""
 
 import functools
 import math
@@ -8,6 +9,7 @@ import signal
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -626,6 +628,114 @@ class TestWorkers:
             finally:
                 os._exit(code)
         assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory: ``a`` is freed once this is."""
+    return a if a.base is None else a.base
+
+
+class TestLiveness:
+    """Each array of a block is freed at its last use.  One worker, so only
+    this thread's arrays are alive."""
+
+    @pytest.fixture(autouse=True)
+    def one_worker(self, monkeypatch):
+        monkeypatch.setattr(attention, "_WORKERS", 1)
+
+    def test_cross_attention_drops_the_keys_ln1_rows_before_the_tails(self, monkeypatch):
+        # the block's peak is in a tail's MLP; the descriptors' LN1 rows,
+        # read only by the K and V projections, are gone by then
+        t = generate_synthetic(8, DESK, 64)
+        w = init_block_weights(65, 32, 4)
+        bundle = build_bundle(t, CompressionMethod("bilinear", 4))
+        key_rows, alive_at_tails = [], []
+
+        def recording_ln(x, gamma, beta):
+            out = layer_norm(x, gamma, beta)
+            if np.shares_memory(x, bundle.descriptors):
+                key_rows.append(weakref.ref(out))
+            return out
+
+        def recording_mlp(x, *weights):
+            alive_at_tails.append(sum(ref() is not None for ref in key_rows))
+            return mlp(x, *weights)
+
+        monkeypatch.setattr(attention, "layer_norm", recording_ln)
+        monkeypatch.setattr(attention, "mlp", recording_mlp)
+        descriptor_attention(t, bundle, w)
+        assert len(key_rows) == 1
+        assert alive_at_tails == [0] * 5  # 552 queries in 128-row tiles
+
+    @pytest.mark.parametrize("mode", ["frame", "descriptor"])
+    def test_no_ln1_rows_reach_the_softmax(self, mode, monkeypatch):
+        # a tile's LN1 rows die with its Q projection, and cross-attention's
+        # key rows with K and V; only a tiled self-attention group keeps its
+        # rows, to draw each tile's queries from
+        t = generate_synthetic(8, DESK, 70)
+        w = init_block_weights(71, 32, 4)
+        rows, alive = [], []
+
+        def recording_ln(x, gamma, beta):
+            out = layer_norm(x, gamma, beta)
+            rows.append(weakref.ref(out))
+            return out
+
+        def recording_softmax(scores, out=None):
+            alive.append(sum(ref() is not None for ref in rows))
+            return softmax_numerators(scores, out=out)
+
+        monkeypatch.setattr(attention, "layer_norm", recording_ln)
+        monkeypatch.setattr(attention, "softmax_numerators", recording_softmax)
+        if mode == "frame":
+            frame_attention(t, w)  # whole groups of 3, 3 and 2 frames
+        else:
+            descriptor_attention(t, build_bundle(t, CompressionMethod("bilinear", 4)), w)
+        assert alive == [0] * (3 if mode == "frame" else 5 * w.heads)
+
+    def test_dense_workspace_comes_after_the_keys(self, monkeypatch):
+        # no (1, 128, K) score workspace sits under the K/V projections
+        t = generate_synthetic(16, DESK, 66)
+        w = init_block_weights(67, 32, 4)
+        wv = w.wv.astype(np.float64)
+        project = attention._project
+        at_v = []
+
+        def recording(rows, w64, shape):
+            if np.array_equal(w64, wv):
+                at_v.append(tracemalloc.get_traced_memory()[0])
+            return project(rows, w64, shape)
+
+        monkeypatch.setattr(attention, "_project", recording)
+        tracemalloc.start()
+        try:
+            dense_global_attention(t, w)
+        finally:
+            tracemalloc.stop()
+        workspace = attention.QUERY_TILE // attention._MAX_WORKERS * t.total_tokens * 8
+        assert len(at_v) == 1
+        assert at_v[0] < workspace, (at_v, workspace)
+
+    def test_frame_attention_holds_one_groups_keys_at_a_time(self, monkeypatch):
+        # a 37 x 37 frame is longer than a run, so each frame is a tiled group
+        # of its own; its K and V are dropped before the next frame's exist
+        t = generate_synthetic(2, FrameLayout(h=37, w=37), 68)
+        w = init_block_weights(69, 32, 4)
+        wq = w.wq.astype(np.float64)
+        project = attention._project
+        keys, alive = [], []
+
+        def recording(rows, w64, shape):
+            if np.array_equal(w64, wq):
+                return project(rows, w64, shape)
+            alive.append(sum(ref() is not None for ref in keys))
+            out = project(rows, w64, shape)
+            keys.append(weakref.ref(_owner(out)))
+            return out
+
+        monkeypatch.setattr(attention, "_project", recording)
+        frame_attention(t, w)
+        assert alive == [0, 1, 0, 1]  # K then V of each frame
 
 
 class TestHistogram:

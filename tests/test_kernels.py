@@ -1,6 +1,7 @@
 """Numeric kernel contracts: matmul, softmax, layer norm, GELU, resampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ def softmax_oracle(m):
 
 def same_bits(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
+def traced_peak(call) -> int:
+    """Bytes at the allocation peak of ``call()``, above what was live before."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def matmul_oracle(a, b):
@@ -233,6 +244,20 @@ class TestMlp:
         # the float64 weight copies the attention block passes give the same bits
         assert same_bits(mlp(x, w1.astype(np.float64), b1, w2.astype(np.float64), b2), oracle)
 
+    def test_peak_leaves_out_the_pre_activation(self):
+        # on a 128-row tile the peak is GELU's two (128, 4C) float64 arrays;
+        # the float32 pre-activation, freed once GELU widens it, is not beside them
+        gen = rng(18)
+        c = 32
+        x = gen.standard_normal((128, c)).astype(np.float32)
+        w1, w2 = (gen.standard_normal(s) / math.sqrt(c) for s in ((c, 4 * c), (4 * c, c)))
+        b1, b2 = np.zeros(4 * c, np.float32), np.zeros(c, np.float32)
+        hidden = 128 * 4 * c
+        peak = traced_peak(lambda: mlp(x, w1, b1, w2, b2))
+        # 16 bytes per hidden element, with slack short of the 4 more the
+        # pre-activation would add
+        assert peak < 18 * hidden, peak
+
 
 class TestGelu:
     def test_float32_bits_match_the_power_form(self):
@@ -261,6 +286,13 @@ class TestGelu:
         assert np.array_equal(x, before)
         layer_norm(x, np.ones(16), np.zeros(16))
         assert np.array_equal(x, before)
+
+    def test_peak_is_two_float64_copies(self):
+        # the widened input and one temporary, 16 bytes per element; neither
+        # the temporary nor an input no caller keeps outlives its last use
+        x = rng(15).standard_normal((256, 128)).astype(np.float32)
+        assert traced_peak(lambda: gelu(x)) < 16.5 * x.size
+        assert traced_peak(lambda: gelu(x.copy())) < 16.5 * x.size
 
     def test_closed_forms(self):
         assert gelu(np.zeros(3, dtype=np.float32)).tolist() == [0.0, 0.0, 0.0]
