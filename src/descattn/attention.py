@@ -7,18 +7,21 @@ scores (1 / sqrt(C / heads)).  The dense global kernel is the exact reference
 the descriptor kernel approximates: with an uncompressed bundle and no
 auxiliaries the two are the same computation.
 
-One private score path (LN1, the Q/K projections, the per-head scaled scores
-and the mask) serves the forward of every kernel, the diagnostic
-``attention_probabilities`` and the score histogram.  The queries are scaled
-by 1 / sqrt(C / heads) once per tile, before the scores, so no pass over a
-score array scales it.  The forward takes ``softmax_numerators`` of the
-scores (one head's, or all heads' at once) and divides the (q, d) product of
-those numerators and V by the row sums, instead of dividing the (q, K)
-numerators; the diagnostics take ``stable_softmax_rows`` of the same scores,
-which is those numerators divided by those sums, so their probabilities are
-bitwise the ones the forward's context is built from.  The path works on a
-leading batch axis: frame attention is one call with the frames as the
-batch, and the global kernels are one call with a batch of one.
+One private function, ``_attention_block``, runs every block on a leading
+batch axis: frame attention is one call with the frames as the batch, and
+the global kernels, and so the streaming step, are one call with a batch of
+one.  The queries are scaled by 1 / sqrt(C / heads) once per tile, before
+the scores, so no pass over a score array scales it.  The block takes
+``softmax_numerators`` of the scores in place and divides the (q, d) product
+of those numerators and V by the row sums, instead of dividing the (q, K)
+numerators.
+
+The diagnostics run the forward.  ``attention_probabilities`` and the score
+histogram call ``_attention_block`` with a ``record`` hook, which sees each
+(tile, head)'s scaled, masked scores just before the softmax overwrites them,
+and take ``stable_softmax_rows`` of those scores: the same numerators divided
+by the same sums, so their probabilities are bitwise the ones the forward's
+context is built from.
 
 Every block is query-tiled, and the tiles are fixed: frame attention tiles
 by whole frames (QUERY_TILE // N of them, at least one) and the global
@@ -26,64 +29,17 @@ kernels by runs of at most QUERY_TILE // _MAX_WORKERS query rows, as is a
 frame longer than that.  A block runs its tiles on W workers: one per CPU
 this process may run on, and at most _MAX_WORKERS, the most that has been
 measured.  W decides only which thread runs a tile, never which tiles exist,
-so every forward and the diagnostics make the same BLAS calls on the same
-shapes, and their bits do not depend on the CPU count.  The calling thread
-is worker 0, and one module-level pool of _MAX_WORKERS - 1 threads, made on
-first use, runs the others.  Each worker runs in a copy of the calling
-thread's context, so numpy's ``errstate`` and buffer size reach the pool
-threads, and a worker's exception is raised in the caller once every share
-has stopped.  A single share runs on the calling thread alone, and with
-W = 1 there is no pool.  Each row's softmax still sees all of its keys, so
+so every block makes the same BLAS calls on the same shapes, and its bits do
+not depend on the CPU count.  The calling thread is worker 0, and one
+module-level pool of _MAX_WORKERS - 1 threads, made on first use, runs the
+others.  Each worker runs in a copy of the calling thread's context, so
+numpy's ``errstate`` and buffer size reach the pool threads, and a worker's
+exception is raised in the caller once every worker has stopped.  A single
+share runs on the calling thread alone, and with W = 1 there is no pool.
+Each worker writes only its own tiles' output rows, so the output does not
+depend on scheduling, and each row's softmax still sees all of its keys, so
 tiling is exact.  Weights are cast to float64 once per block call, not once
-per tile.  A block takes one of two forms, chosen from QUERY_TILE,
-_MAX_WORKERS and its shapes alone:
-
-* Whole groups, when a batch item's queries and its keys each fit one run
-  (every frame of 69 tokens here).  Each group of frames is then one
-  tile, and the groups are dealt round-robin, group i to worker i mod W.  A
-  worker runs a group whole: LN1, the Q/K/V projections, all heads' scores
-  in one (b, H, q, K) float64 array, one softmax, one P·V and one divide;
-  it writes the context into the group's output rows, drops the scores and
-  projections, and runs W_o, LN2 and the MLP on those rows.  A group's
-  scores hold at most heads * QUERY_TILE * (QUERY_TILE // _MAX_WORKERS)
-  elements, and a worker holds one group at a time, so a block's
-  allocation peak is at most the output plus W times the most one worker
-  adds alone; where in that range it lands depends on thread timing.
-* Tiled, every other block (every global block here).  LN1 and the K/V
-  projections run once, on the calling thread, over the keys a tile group
-  shares (a group of frames, or the whole key set of a global block).  The
-  group's tiles are then dealt round-robin, tile i to worker i mod W.  A
-  worker runs a tile's Q projection, scores, softmax and context head by
-  head before its next tile starts, and writes only that tile's rows of the
-  output.  Each worker owns one (b, <= QUERY_TILE // _MAX_WORKERS, K)
-  float64 score workspace, allocated once per block call, after the first
-  group's K/V projections, which its tiles and heads fill with scores and
-  run the softmax (or its numerators) in place, so a yielded score array is
-  valid only until that worker's next (tile, head).  The workspaces hold at
-  most b * QUERY_TILE * K elements together, so a block's activation peak
-  stays O(QUERY_TILE * K), not O(Q * K).  Once every worker of a group has
-  stopped, the calling thread runs W_o, LN2 and the MLP on each of the
-  group's tiles in turn, so a block has one tiling and no MLP temporary
-  overlaps another worker's: a tiled block's allocation peak does not
-  depend on thread timing.
-
-Each array is held only until its last use.  The keys' LN1 rows outlive the
-K/V projections only in self-attention, where they are also the queries'
-LN1 rows; a tiled group's keys are dropped before the next group's are
-projected; a tile drops its LN1 rows once its Q projection exists.  So a
-tiled block peaks in a tail's GELU, with the output, the workspaces and the
-group's K/V (and, in self-attention, its LN1 rows) alive beside the tail's
-two (rows, 4C) float64 GELU arrays and its two (rows, C) row blocks, the
-residual sum and its LN2.  The workers' per-tile temporaries stay under that
-tail, which is why the workspaces and K/V are not freed before it: the peak
-would then move with thread timing.
-
-Either way each worker writes only its own tiles' output rows, so the output
-does not depend on scheduling, and per (batch item, head) both forms make
-the same matrix products on the same shapes and strides, so they give the
-same bits.  The diagnostics (``attention_probabilities``, the histogram)
-take the same score path, in the same form and on the same tiles, on the
-calling thread alone.
+per tile.
 
 A mask's cuts split the frames into blocks, and a query sees only the keys
 whose provenance frame does not lie past its own block.  With cuts, each
@@ -104,6 +60,7 @@ import contextvars
 import functools
 import os
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
@@ -273,121 +230,6 @@ def _by_head(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-2, -3)
 
 
-def _scores(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
-            limits: tuple[np.ndarray, np.ndarray] | None, workers: int = 1):
-    """The one attention score path, up to the scaled, masked scores.
-
-    ``x_q`` is (B, Q, C) and ``kv`` is (B, K, C): batch item b's queries see
-    only batch item b's keys.  ``limits`` is ``AttentionMask.limits`` of a
-    batch of one, or None when every key is visible.  It yields rounds of
-    (tiles, shares): the shares of a round may run on different threads at
-    once, each in the context of the thread that iterates it, and ``tiles``
-    lists the round's (batch slice, query slice) tiles in order.  A share
-    yields (tile, heads) for each of its tiles, and ``heads`` yields (head,
-    scores, values): the scores of the tile's queries against its keys,
-    scaled, hidden keys at -inf, and the values of the same heads, (b, K, d)
-    for one head and (b, H, K, d) for all.  A tile runs LN1 (for
-    self-attention, the key rows already normed) and the Q projection on its
-    rows, and scales that float64 projection by 1 / sqrt(C / heads) in
-    place, once for all heads.
-
-    LN1 and the K/V projections keep the keys' LN1 rows only in
-    self-attention (``kv is x_q``), for the queries; cross-attention drops
-    them once K and V exist.  A tile drops its LN1 rows once its Q
-    projection exists.
-
-    The rounds take one of two forms, chosen by ``_whole_groups`` from the
-    shapes alone:
-
-    * Tiled, one round per group of ``_tiles(B, Q)``: LN1 and the K/V
-      projections run over the group's keys once, as the round is made, and
-      the group's query runs are dealt round-robin into the shares, run i to
-      share i mod ``workers``, leaving out empty shares.  ``heads`` yields
-      one head at a time, ``head`` its index, with (b, q, K) scores that
-      share i writes into its own (b, <= QUERY_TILE // _MAX_WORKERS, K)
-      workspace, allocated once per call, after the first group's K/V; the
-      caller's softmax may overwrite it in place, so a yielded array is
-      valid only until that share's next (tile, head): finish a tile's
-      heads before asking the share for its next tile.  The workspaces and
-      a group's keys stay alive while the caller holds the round, and the
-      keys are dropped when it asks for the next one, before the next
-      group's are projected.
-    * Whole groups, one round: the groups are dealt round-robin into the
-      shares, group i to share i mod ``workers``.  Each is one tile, whose
-      ``heads`` runs LN1 and the K/V projections over its own keys and
-      yields once, ``head`` being ``slice(None)``, with all heads' scores in
-      one fresh (b, H, q, K) array.  Once ``heads`` is exhausted it holds
-      none of them, so the tile's scores and projections live only as long
-      as the caller keeps them.
-
-    Per (batch item, head) the two forms make the same matrix products on
-    the same shapes and strides, so their scores are bitwise equal.
-    """
-    if limits is not None:
-        ends, key_frames = limits
-        dead = int(np.count_nonzero(ends < key_frames.min()))
-        if dead:
-            warnings.warn(f"{dead} fully masked query rows; "
-                          "attention contributes nothing for them", MaskedRowWarning)
-    wq, wk, wv = (m.astype(np.float64) for m in (w.wq, w.wk, w.wv))
-    inv_sqrt_d = 1.0 / np.sqrt(w.channels // w.heads)
-    groups = _tiles(*x_q.shape[:2])
-
-    def keys(batch):
-        rows = kv[batch]
-        kv_in = layer_norm(_rows(rows), w.ln1_gamma, w.ln1_beta)
-        k, v = _project(kv_in, wk, rows.shape), _project(kv_in, wv, rows.shape)
-        # only self-attention reads the keys' LN1 rows again, as its queries'
-        return kv_in if kv is x_q else None, k, v
-
-    def heads(batch, queries, group_keys, work):
-        # a whole group projects its own keys, on the thread that runs it
-        kv_in, k, v = group_keys or keys(batch)
-        x = x_q[batch, queries]
-        q_in = (layer_norm(_rows(x), w.ln1_gamma, w.ln1_beta) if kv_in is None
-                else _rows(kv_in.reshape(k.shape)[:, queries]))
-        del kv_in
-        q = _project(q_in, wq, x.shape)
-        del q_in
-        q *= inv_sqrt_d
-        hidden = None if limits is None else key_frames > ends[queries, None]
-        yield from _head_scores(q, k, v, w.heads, hidden,
-                                None if work is None else work[:x.shape[0], :x.shape[1]])
-
-    def share(tiles, group_keys=None, work=None):
-        for batch, queries in tiles:
-            yield (batch, queries), heads(batch, queries, group_keys, work)
-
-    if _whole_groups(x_q.shape[1], kv.shape[1]):
-        tiles = [(batch, runs[0]) for batch, runs in groups]
-        yield tiles, [share(tiles[i::workers]) for i in range(min(workers, len(tiles)))]
-        return
-    largest = x_q[groups[0][0], groups[0][1][0]]
-    works = []
-    for batch, runs in groups:
-        tiles = [(batch, queries) for queries in runs]
-        group_keys = keys(batch)
-        # made after the first K/V, so no workspace sits under a projection
-        works = works or [np.empty(largest.shape[:2] + kv.shape[1:2])
-                          for _ in range(min(workers, len(runs)))]
-        yield tiles, [share(tiles[i::workers], group_keys, work)
-                      for i, work in enumerate(works)]
-        del group_keys  # before the next group's keys are projected
-
-
-def _head_scores(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
-                 hidden: np.ndarray | None, work: np.ndarray | None):
-    """(head, scores, values) of (b, q, C) queries against (b, K, C) keys:
-    head by head into ``work`` when it is given, all heads at once into a
-    fresh array when it is None."""
-    q, k, v = (_by_head(x, heads) for x in (q, k, v))
-    for h in (slice(None),) if work is None else range(heads):
-        scores = np.matmul(q[:, h], k[:, h].swapaxes(-1, -2), out=work)
-        if hidden is not None:
-            np.copyto(scores, -np.inf, where=hidden)
-        yield h, scores, v[:, h]
-
-
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
     """The one pool of worker threads, made on first use."""
@@ -415,36 +257,91 @@ def _run_shares(calls: list) -> None:
 
 
 def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
-                     limits: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """One full pre-norm block over a batch; queries from x_q (B, Q, C),
-    keys/values from kv (B, K, C).  A worker writes each tile's context,
-    rounded to x_q's dtype, into that tile's rows of the output; the tail
-    (W_o, the residual, LN2 and the MLP) then writes the block's output over
-    the same rows.  Each head's context is its softmax numerators times V,
-    divided by the row sums afterwards: a (q, d) divide instead of a (q, K)
-    one.
+                     limits: tuple[np.ndarray, np.ndarray] | None,
+                     record: Callable[[tuple, int | slice, np.ndarray], None] | None = None
+                     ) -> np.ndarray:
+    """One full pre-norm block: queries from x_q (B, Q, C), keys and values
+    from kv (B, K, C), batch item b's queries seeing only batch item b's
+    keys.  ``limits`` is ``AttentionMask.limits`` of a batch of one, or None.
+    ``record(tile, head, scores)``, when given, sees each (tile, head)'s
+    scaled, masked scores before the softmax overwrites them, on the thread
+    that runs the tile; ``head`` is an index, or ``slice(None)`` for all.
 
-    In the tiled form of ``_scores`` the calling thread runs the tails of a
-    group's tiles one after another once all of its workers have stopped,
-    so the MLP's temporaries never overlap another worker's and the block's
-    allocation peak does not depend on thread timing.  That peak is in a
-    tail's GELU, while ``_scores`` still holds the workspaces and the
-    group's K/V: beside them are the output, the tail's two (rows, 4C)
-    float64 GELU arrays and its two (rows, C) row blocks (the residual sum
-    and its LN2), and no float32 pre-activation, since ``mlp`` hands that
-    to GELU alone.  A whole group's tail runs on its own worker as soon as
-    the group's context is written, after its score array and projections
-    are dropped."""
+    A tile runs LN1 (in self-attention, ``kv is x_q``, the keys' rows) and
+    Q; per head, or all heads at once, the scores, mask, numerators, P·V and
+    divide into a float64 context, rounded into the tile's output rows; then
+    the tail (W_o, the residual, LN2 and the MLP) over the same rows.  The
+    form is chosen by ``_whole_groups`` from the shapes alone, and per (batch
+    item, head) both forms make the same products on the same shapes and
+    strides, so they give the same bits:
+
+    * Whole groups: each group of ``_tiles(B, Q)`` is one tile, run on
+      worker i mod W for group i.  The worker projects the group's keys,
+      scores all heads in one fresh (b, H, q, K) array and runs the tail once
+      those are dropped.  It holds one group at a time, so a block's peak is
+      at most the output plus W times the most one worker adds alone; where
+      in that range it lands depends on thread timing.
+    * Tiled, every other block: the calling thread projects a group's K/V
+      once and deals its query runs, run i to worker i mod W.  Each worker
+      runs its tiles head by head in one (b, <= QUERY_TILE // _MAX_WORKERS,
+      K) float64 workspace, made once per call after the first group's K/V,
+      so the peak stays O(QUERY_TILE * K), not O(Q * K).  Once the workers
+      stop, the calling thread runs the group's tails in turn, then drops the
+      group's keys before the next group's are projected.
+
+    Each array is held only until its last use; the keys' LN1 rows outlive
+    K and V only in self-attention, as the queries' rows.  A tiled block
+    peaks in a tail's GELU, with the output, the workspaces and the group's
+    K/V alive beside the tail's two (rows, 4C) float64 GELU arrays and two
+    (rows, C) row blocks.  No worker runs then and their per-tile
+    temporaries stay below it, so that peak does not depend on thread
+    timing; freeing the workspaces or K/V before the tails would move it
+    into the workers' overlap, which does.
+    """
     whole = _whole_groups(x_q.shape[1], kv.shape[1])
     wo, w1, w2 = (m.astype(np.float64) for m in (w.wo, w.w1, w.w2))
     out = np.empty_like(x_q)
+    if limits is not None:
+        ends, key_frames = limits
+        dead = int(np.count_nonzero(ends < key_frames.min()))
+        if dead:
+            warnings.warn(f"{dead} fully masked query rows; "
+                          "attention contributes nothing for them", MaskedRowWarning)
+    wq, wk, wv = (m.astype(np.float64) for m in (w.wq, w.wk, w.wv))
+    inv_sqrt_d = 1.0 / np.sqrt(w.channels // w.heads)
+    groups = _tiles(*x_q.shape[:2])
 
-    def context(tile, heads):
-        ctx = np.empty(x_q[tile].shape, dtype=np.float64)
-        by_head = _by_head(ctx, w.heads)
-        for h, scores, v in heads:
+    def keys(batch):
+        rows = kv[batch]
+        kv_in = layer_norm(_rows(rows), w.ln1_gamma, w.ln1_beta)
+        k, v = _project(kv_in, wk, rows.shape), _project(kv_in, wv, rows.shape)
+        # only self-attention reads the keys' LN1 rows again, as its queries'
+        return kv_in if kv is x_q else None, k, v
+
+    def attend(tile, group_keys, work):
+        batch, queries = tile
+        x = x_q[tile]
+        ctx = np.empty(x.shape, dtype=np.float64)
+        # a whole group projects its own keys, on the thread that runs it
+        kv_in, k, v = group_keys or keys(batch)
+        q_in = (layer_norm(_rows(x), w.ln1_gamma, w.ln1_beta) if kv_in is None
+                else _rows(kv_in.reshape(k.shape)[:, queries]))
+        del kv_in
+        q = _project(q_in, wq, x.shape)
+        del q_in
+        q *= inv_sqrt_d
+        hidden = None if limits is None else key_frames > ends[queries, None]
+        q, k, v, by_head = (_by_head(a, w.heads) for a in (q, k, v, ctx))
+        if work is not None:
+            work = work[:x.shape[0], :x.shape[1]]
+        for h in (slice(None),) if work is None else range(w.heads):
+            scores = np.matmul(q[:, h], k[:, h].swapaxes(-1, -2), out=work)
+            if hidden is not None:
+                np.copyto(scores, -np.inf, where=hidden)
+            if record is not None:
+                record(tile, h, scores)
             e, denom = softmax_numerators(scores, out=scores)
-            np.divide(e @ v, denom, out=by_head[:, h])
+            np.divide(e @ v[:, h], denom, out=by_head[:, h])
         out[tile] = ctx
 
     def tail(tile):
@@ -452,32 +349,46 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
         y += mlp(layer_norm(y, w.ln2_gamma, w.ln2_beta), w1, w.b1, w2, w.b2)
         out[tile] = y.reshape(out[tile].shape)
 
-    def attend(share):
-        for tile, heads in share:
-            context(tile, heads)  # holds the tile's scores and projections
+    def share(tiles, group_keys=None, work=None):
+        for tile in tiles:
+            attend(tile, group_keys, work)  # drops the tile's scores and projections
             if whole:
                 tail(tile)
 
-    for tiles, shares in _scores(x_q, kv, w, limits, _WORKERS):
-        _run_shares([functools.partial(attend, share) for share in shares])
-        if not whole:
-            for tile in tiles:
-                tail(tile)
+    if whole:
+        tiles = [(batch, runs[0]) for batch, runs in groups]
+        _run_shares([functools.partial(share, tiles[i::_WORKERS])
+                     for i in range(min(_WORKERS, len(tiles)))])
+        return out
+    largest = x_q[groups[0][0], groups[0][1][0]]
+    works = []
+    for batch, runs in groups:
+        tiles = [(batch, queries) for queries in runs]
+        group_keys = keys(batch)
+        # made after the first K/V, so no workspace sits under a projection
+        works = works or [np.empty(largest.shape[:2] + kv.shape[1:2])
+                          for _ in range(min(_WORKERS, len(runs)))]
+        _run_shares([functools.partial(share, tiles[i::_WORKERS], group_keys, work)
+                     for i, work in enumerate(works)])
+        for tile in tiles:
+            tail(tile)
+        del group_keys  # before the next group's keys are projected
     return out
 
 
 def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights) -> np.ndarray:
     """Post-softmax probabilities, shape (heads, queries, keys), bitwise the
-    ones the unmasked forward of the same block uses.
+    ones the unmasked forward of the same block uses: the block runs, and
+    each (tile, head)'s softmax is written into its own rows of the result.
 
     Diagnostic path: materializes every head, so keep inputs desk-scale.
     """
     out = np.empty((w.heads, x_q.shape[0], kv.shape[0]))
-    for _, (share,) in _scores(x_q[None], kv[None], w, None):
-        for (_, rows), heads in share:
-            # each head is copied out before the next one overwrites the workspace
-            for h, scores, _ in heads:
-                out[h, rows] = stable_softmax_rows(scores, out=scores)[0]
+
+    def record(tile, head, scores):
+        stable_softmax_rows(scores, out=out[head, tile[1]][None])
+
+    _attention_block(x_q[None], kv[None], w, None, record)
     return out
 
 
@@ -531,16 +442,14 @@ def attention_score_histogram(t: TokenTensor, w: BlockWeights, mode: str
     64 fixed-width bins on [0, 1], aggregated over heads and query rows.
     ``mode`` is "frame" (per-frame self-attention scores) or "global" (dense
     global scores).  Returns (counts, bin edges); counts sum to the number of
-    probability entries.
+    probability entries.  The block runs, and each (tile, head)'s counts are
+    kept, on whichever worker ran it, and summed at the end.
     """
     if mode not in ("frame", "global"):
         raise ValueError(f"histogram mode must be 'frame' or 'global', got {mode!r}")
     edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
-    counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
+    counts = []
     x = t.values if mode == "frame" else t.flat()[None]
-    for _, (share,) in _scores(x, x, w, None):
-        for _, heads in share:
-            for _, scores, _ in heads:
-                counts += np.histogram(stable_softmax_rows(scores, out=scores),
-                                       bins=edges)[0]
-    return counts, edges
+    _attention_block(x, x, w, None, lambda tile, head, scores: counts.append(
+        np.histogram(stable_softmax_rows(scores), bins=edges)[0]))
+    return sum(counts, np.zeros(HISTOGRAM_BINS, dtype=np.int64)), edges

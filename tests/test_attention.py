@@ -1,12 +1,11 @@
 """Attention kernels: hand-computed cases, brute-force oracles, masks, the
-one score path, the score workspace, query tiles, workers, array liveness and
-the score histogram."""
+diagnostics that run the forward's block, the score workspace, query tiles,
+workers, array liveness and the score histogram."""
 
 import functools
 import math
 import os
 import signal
-import sys
 import threading
 import tracemalloc
 import weakref
@@ -300,7 +299,7 @@ class TestOneScorePath:
 
 
 class TestScoreWorkspace:
-    def test_dense_peak_is_about_one_score_matrix(self, monkeypatch):
+    def test_dense_peak_is_about_one_score_matrix(self, monkeypatch, traced_peak):
         # each of W workers owns one (1, <= QUERY_TILE // _MAX_WORKERS, K)
         # float64 workspace for all its tiles and heads; the softmax runs
         # inside it, so no (K, K) array is ever alive
@@ -310,12 +309,7 @@ class TestScoreWorkspace:
         assert k == 1104
         for workers in (1, 2):
             monkeypatch.setattr(attention, "_WORKERS", workers)
-            tracemalloc.start()
-            try:
-                dense_global_attention(t, w)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(functools.partial(dense_global_attention, t, w))
             assert peak < k * k * 8, workers
 
 
@@ -361,7 +355,7 @@ class TestQueryTiles:
         assert np.array_equal(whole, np.concatenate(parts, axis=1))
 
     def test_tail_runs_on_the_attention_tiles(self, monkeypatch):
-        # W_o, LN2 and the MLP take the score path's tiles: 128-row runs of a
+        # W_o, LN2 and the MLP take the attention's own tiles: 128-row runs of a
         # global block, one whole-frame group of frame attention at a time
         rows = []
 
@@ -400,7 +394,7 @@ class TestQueryTiles:
             prefix = dense_global_attention(TokenTensor(DESK, t.values[:e]), w)
             assert np.max(np.abs(out.values[a:e] - prefix.values[a:e])) <= 1e-6
 
-    def test_dense_peak_grows_linearly_in_keys(self, monkeypatch):
+    def test_dense_peak_grows_linearly_in_keys(self, monkeypatch, traced_peak):
         # the W workspaces total (1, <= QUERY_TILE, K), so doubling K adds a
         # fixed multiple of K: successive increments grow 2x, against 4x for
         # a (K, K) score array
@@ -410,12 +404,7 @@ class TestQueryTiles:
             peaks = []
             for frames in (8, 16, 32):
                 t = generate_synthetic(frames, DESK, 39)
-                tracemalloc.start()
-                try:
-                    dense_global_attention(t, w)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
+                peaks.append(traced_peak(functools.partial(dense_global_attention, t, w)))
             assert t.total_tokens == 2208
             assert (peaks[2] - peaks[1]) / (peaks[1] - peaks[0]) < 3.0, workers
 
@@ -461,7 +450,8 @@ class TestWorkers:
         monkeypatch.setattr(attention, "softmax_numerators", softmax_numerators)
         assert np.array_equal(dense_global_attention(t, w).values, expect.values)
 
-    def test_frequent_thread_switches_write_every_row_once(self, monkeypatch):
+    def test_frequent_thread_switches_write_every_row_once(self, monkeypatch,
+                                                          frequent_switches):
         # the two workers share out 5 tiles, switching threads every 10 us; a
         # shared workspace or a lost row would change the output
         t = generate_synthetic(8, DESK, 46)
@@ -469,16 +459,13 @@ class TestWorkers:
         monkeypatch.setattr(attention, "_WORKERS", 1)
         expect = dense_global_attention(t, w).values
         monkeypatch.setattr(attention, "_WORKERS", 2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
+        with frequent_switches():
             runs = [dense_global_attention(t, w).values for _ in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
         for out in runs:
             assert np.array_equal(out, expect)
 
-    def test_peak_does_not_depend_on_thread_timing(self, monkeypatch):
+    def test_peak_does_not_depend_on_thread_timing(self, monkeypatch, traced_peak,
+                                                   frequent_switches):
         # the caller runs every MLP after the workers stop, so whether the
         # workers' tiles overlap moves no allocation peak; one worker holds
         # one workspace of the two, so its peak is no higher
@@ -487,24 +474,17 @@ class TestWorkers:
 
         def peak(workers):
             monkeypatch.setattr(attention, "_WORKERS", workers)
-            tracemalloc.start()
-            try:
-                dense_global_attention(t, w)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(functools.partial(dense_global_attention, t, w))
 
         reference = peak(2)
         assert peak(1) <= reference
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
+        with frequent_switches():
             peaks = [reference] + [peak(2) for _ in range(5)]
-        finally:
-            sys.setswitchinterval(interval)
         assert max(peaks) - min(peaks) < 0.01 * reference, peaks
 
-    def test_cross_attention_peak_does_not_depend_on_thread_timing(self, monkeypatch):
+    def test_cross_attention_peak_does_not_depend_on_thread_timing(self, monkeypatch,
+                                                                   traced_peak,
+                                                                   frequent_switches):
         # cross-attention workers run LN1 and the Q projection on every tile,
         # and none of their temporaries may outgrow the caller's W_o/LN2/MLP
         monkeypatch.setattr(attention, "_WORKERS", 2)
@@ -512,22 +492,10 @@ class TestWorkers:
         w = init_block_weights(51, 32, 4)
         bundle = build_bundle(t, CompressionMethod("bilinear", 2),
                               select_keyframes(t, KeyframeSelector(interval=2)))
-        descriptor_attention(t, bundle, w)  # makes the pool before any peak
-
-        def peak():
-            tracemalloc.start()
-            try:
-                descriptor_attention(t, bundle, w)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            peaks = [peak() for _ in range(6)]
-        finally:
-            sys.setswitchinterval(interval)
+        cross = functools.partial(descriptor_attention, t, bundle, w)
+        cross()  # makes the pool before any peak
+        with frequent_switches():
+            peaks = [traced_peak(cross) for _ in range(6)]
         assert max(peaks) - min(peaks) < 0.01 * min(peaks), peaks
 
     def test_frame_groups_run_whole_on_both_threads(self, monkeypatch):
@@ -559,22 +527,21 @@ class TestWorkers:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_frame_groups_match_one_worker_under_frequent_switches(self, dtype,
-                                                                   monkeypatch):
+                                                                   monkeypatch,
+                                                                   frequent_switches):
         t = generate_synthetic(8, DESK, 58, dtype=dtype)
         w = init_block_weights(59, 32, 4, dtype)
         monkeypatch.setattr(attention, "_WORKERS", 1)
         expect = frame_attention(t, w).values
         monkeypatch.setattr(attention, "_WORKERS", 2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
+        with frequent_switches():
             runs = [frame_attention(t, w).values for _ in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
         for out in runs:
             assert np.array_equal(out, expect)
 
-    def test_frame_attention_peak_is_at_most_two_workers_alone(self, monkeypatch):
+    def test_frame_attention_peak_is_at_most_two_workers_alone(self, monkeypatch,
+                                                               traced_peak,
+                                                               frequent_switches):
         """A whole group's worker holds one group at a time: its scores and
         projections, then its tail's temporaries.  At W = 1 the peak is the
         output plus the most one worker adds, weights included; at W = 2 the
@@ -587,26 +554,14 @@ class TestWorkers:
         bundle = build_bundle(t, CompressionMethod("bilinear", 4), select_keyframes(
             t, KeyframeSelector("cluster", 32, 61)))
 
-        def peak(run):
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         frame = functools.partial(frame_attention, t, w)
-        global_peak = peak(functools.partial(descriptor_attention, t, bundle, w))
+        global_peak = traced_peak(functools.partial(descriptor_attention, t, bundle, w))
         monkeypatch.setattr(attention, "_WORKERS", 1)
-        alone = peak(frame)
+        alone = traced_peak(frame)
         monkeypatch.setattr(attention, "_WORKERS", 2)
         frame()  # makes the pool before any peak
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            peaks = [peak(frame) for _ in range(6)]
-        finally:
-            sys.setswitchinterval(interval)
+        with frequent_switches():
+            peaks = [traced_peak(frame) for _ in range(6)]
         out = t.values.nbytes
         assert max(peaks) <= out + 2 * (alone - out), (peaks, alone)
         assert max(peaks) < global_peak, (peaks, global_peak)
@@ -693,7 +648,7 @@ class TestLiveness:
             descriptor_attention(t, build_bundle(t, CompressionMethod("bilinear", 4)), w)
         assert alive == [0] * (3 if mode == "frame" else 5 * w.heads)
 
-    def test_dense_workspace_comes_after_the_keys(self, monkeypatch):
+    def test_dense_workspace_comes_after_the_keys(self, monkeypatch, traced_peak):
         # no (1, 128, K) score workspace sits under the K/V projections
         t = generate_synthetic(16, DESK, 66)
         w = init_block_weights(67, 32, 4)
@@ -707,11 +662,7 @@ class TestLiveness:
             return project(rows, w64, shape)
 
         monkeypatch.setattr(attention, "_project", recording)
-        tracemalloc.start()
-        try:
-            dense_global_attention(t, w)
-        finally:
-            tracemalloc.stop()
+        traced_peak(functools.partial(dense_global_attention, t, w))
         workspace = attention.QUERY_TILE // attention._MAX_WORKERS * t.total_tokens * 8
         assert len(at_v) == 1
         assert at_v[0] < workspace, (at_v, workspace)
@@ -771,3 +722,37 @@ class TestHistogram:
         t = generate_synthetic(1, DESK, 0)
         with pytest.raises(ValueError):
             attention_score_histogram(t, init_block_weights(0, 32, 4), "both")
+
+    def test_counts_are_histograms_of_the_probabilities(self):
+        # 8 desk frames: the frame mode runs whole groups of 3, 3 and 2
+        # frames, the global mode five 128-row tiles; each counts exactly the
+        # probabilities, frame by frame and over the whole block
+        t = generate_synthetic(8, DESK, 72)
+        w = init_block_weights(73, 32, 4)
+        flat = t.flat()
+        frame, edges = attention_score_histogram(t, w, "frame")
+        per_frame = [np.histogram(attention_probabilities(x, x, w), bins=edges)[0]
+                     for x in t.values]
+        assert np.array_equal(frame, np.sum(per_frame, axis=0))
+        glob, _ = attention_score_histogram(t, w, "global")
+        whole = np.histogram(attention_probabilities(flat, flat, w), bins=edges)[0]
+        assert np.array_equal(glob, whole)
+        assert frame.sum() == glob.sum() // t.frames == w.heads * t.total_tokens * 69
+
+    def test_diagnostics_do_not_depend_on_the_worker_count(self, monkeypatch,
+                                                           frequent_switches):
+        # both workers write probability rows and append counts; switching
+        # threads every 10 us, a lost or misplaced write would change them
+        t = generate_synthetic(8, DESK, 74)
+        w = init_block_weights(75, 32, 4)
+        flat, keys = t.flat(), build_bundle(t, CompressionMethod("bilinear", 4)).descriptors
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(attention, "_WORKERS", workers)
+            with frequent_switches():
+                runs.append([attention_probabilities(flat, flat, w),
+                             attention_probabilities(flat, keys, w),
+                             attention_score_histogram(t, w, "frame")[0],
+                             attention_score_histogram(t, w, "global")[0]])
+        for one, two in zip(*runs):
+            assert one.dtype == two.dtype and np.array_equal(one, two)

@@ -1,7 +1,6 @@
 """Compression methods, key-frame selection, and bundle assembly."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,19 +240,14 @@ class TestBuildBundle:
             assert (b.descriptors.dtype, b.frames.dtype, b.kinds.dtype) == (
                 dtype, np.int32, np.int8)
 
-    def test_temporaries_scale_with_descriptors(self):
+    def test_temporaries_scale_with_descriptors(self, traced_peak):
         # 512 desk frames are 4.52 MB of float32 tokens, 0.26 MB of which
         # become descriptors; widening the whole grid stack to float64
         # before sampling it would take 8.4 MB
         t = generate_synthetic(512, DESK, 10)
         method = CompressionMethod("bilinear", 4)
         build_bundle(t, method)
-        tracemalloc.start()
-        try:
-            build_bundle(t, method)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: build_bundle(t, method))
         assert peak < t.values.nbytes, (peak, t.values.nbytes)
 
     def test_frame_offset_shifts_provenance(self):

@@ -1,7 +1,6 @@
 """Numeric kernel contracts: matmul, softmax, layer norm, GELU, resampling."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,16 +27,6 @@ def softmax_oracle(m):
 
 def same_bits(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
-
-
-def traced_peak(call) -> int:
-    """Bytes at the allocation peak of ``call()``, above what was live before."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def matmul_oracle(a, b):
@@ -244,7 +233,7 @@ class TestMlp:
         # the float64 weight copies the attention block passes give the same bits
         assert same_bits(mlp(x, w1.astype(np.float64), b1, w2.astype(np.float64), b2), oracle)
 
-    def test_peak_leaves_out_the_pre_activation(self):
+    def test_peak_leaves_out_the_pre_activation(self, traced_peak):
         # on a 128-row tile the peak is GELU's two (128, 4C) float64 arrays;
         # the float32 pre-activation, freed once GELU widens it, is not beside them
         gen = rng(18)
@@ -287,7 +276,7 @@ class TestGelu:
         layer_norm(x, np.ones(16), np.zeros(16))
         assert np.array_equal(x, before)
 
-    def test_peak_is_two_float64_copies(self):
+    def test_peak_is_two_float64_copies(self, traced_peak):
         # the widened input and one temporary, 16 bytes per element; neither
         # the temporary nor an input no caller keeps outlives its last use
         x = rng(15).standard_normal((256, 128)).astype(np.float32)

@@ -1,4 +1,5 @@
-"""Every imported name in the package, the tests and the demos is used.
+"""Every imported name in the package, the tests, the demos and the
+benchmark harness is used.
 
 A name counts as used if it appears as an identifier anywhere in its module
 or is listed in that module's ``__all__``; ``from __future__`` imports are
@@ -30,7 +31,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
 
 def test_no_unused_imports():
     found = {}
-    for folder in ("src", "tests", "demos"):
+    for folder in ("src", "tests", "demos", "benchmark"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             unused = unused_imports(ast.parse(path.read_text(), filename=str(path)))
             if unused:
