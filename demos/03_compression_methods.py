@@ -27,7 +27,7 @@ for row in ramp:
     print("  " + " ".join(f"{v:5.2f}" for v in row))
 
 for kind in ("bilinear", "nearest", "avgpool", "topk_norm", "learned_conv"):
-    tokens = d.compress_frame(grid, d.CompressionMethod(kind, 4, seed=2))
+    tokens = d.compress_frame(grid, d.CompressionMethod(kind, 4))
     print(f"\n{kind}: {tokens.shape[0]} descriptors")
     if kind == "topk_norm":
         kept = d.topk_norm_indices(grid, tokens.shape[0])

@@ -93,18 +93,6 @@ class FlopReport:
         """Per-layer score + value matmul FLOPs of the global block."""
         return self.components["global.scores"] + self.components["global.values"]
 
-    def csv_rows(self) -> list[list]:
-        rows = [["mode", "frames", "k_tokens", "kd_tokens", "layers",
-                 "component", "flops_per_layer"]]
-        for name, flops in sorted(self.components.items()):
-            rows.append([self.mode, self.frames, self.k_tokens, self.kd_tokens,
-                         self.layers, name, flops])
-        rows.append([self.mode, self.frames, self.k_tokens, self.kd_tokens,
-                     self.layers, "total_per_layer", self.per_layer_total])
-        rows.append([self.mode, self.frames, self.k_tokens, self.kd_tokens,
-                     self.layers, "total", self.total])
-        return rows
-
 
 def _compression_flops(cfg: AggregatorConfig, frames: int) -> int:
     lay = cfg.layout

@@ -147,7 +147,9 @@ class AttentionMask:
     it, and a query in frame f may attend only to keys whose provenance frame
     is <= the last frame of f's block.  The final block is unbounded, so one
     mask works for any sequence at least as long as its last cut, and a mask
-    with no cuts hides nothing.
+    with no cuts hides nothing.  ``chunked(c, S)`` cuts every c frames, the
+    visibility a stream of c-frame chunks gives; ``chunked(1, S)`` makes
+    every frame its own block.
     """
 
     cuts: tuple[int, ...] = ()
@@ -159,20 +161,9 @@ class AttentionMask:
         object.__setattr__(self, "cuts", cuts)
 
     @classmethod
-    def frame_causal(cls, frames: int) -> "AttentionMask":
-        """Every frame is its own block."""
-        return cls(tuple(range(1, frames)))
-
-    @classmethod
     def chunked(cls, chunk_size: int, frames: int) -> "AttentionMask":
+        """A cut every ``chunk_size`` frames, below ``frames``."""
         return cls(tuple(range(chunk_size, frames, chunk_size)))
-
-    def block_end(self, frames: np.ndarray) -> np.ndarray:
-        """Last key frame visible to a query in each given frame."""
-        cuts = np.asarray(self.cuts, dtype=np.int64)
-        idx = np.searchsorted(cuts, np.asarray(frames, dtype=np.int64), side="right")
-        ends = np.append(cuts - 1, np.iinfo(np.int64).max)
-        return ends[idx]
 
     def limits(self, query_frames: np.ndarray, key_frames: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +177,10 @@ class AttentionMask:
         if key_frames.size and key_frames.min() < 0:
             raise ValueError("mask boundaries inconsistent with provenance: "
                              "negative key frame index")
-        return self.block_end(query_frames), key_frames
+        cuts = np.asarray(self.cuts, dtype=np.int64)
+        block = np.searchsorted(cuts, np.asarray(query_frames, dtype=np.int64), side="right")
+        ends = np.append(cuts - 1, np.iinfo(np.int64).max)
+        return ends[block], key_frames
 
 
 def _rows(x: np.ndarray) -> np.ndarray:

@@ -14,6 +14,10 @@ usage error.  For ``bench``, ``--frames``, ``--ratio``, ``--retain`` and
 each (configuration, mode) once.  Every sweep CSV row carries the complete
 configuration needed to reproduce it, plus a checksum of the output tokens.
 ``bench`` times nothing: wall time and memory are measured by ``benchmark/``.
+
+This is the one module that writes files, so every CSV layout lives here as
+a column tuple: ``SWEEP_COLUMNS``, ``FLOPS_COLUMNS``, ``CACHE_COLUMNS`` and
+``HISTOGRAM_COLUMNS``, all written by ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ EXIT_IO = 4
 # swept axes, which are also the fields ``bench`` takes as comma lists.
 COLUMN_NAMES = {"frames": "S", "ratio": "r", "retain": "p", "chunk": "c"}
 HISTOGRAM_COLUMNS = ("bin_lo", "bin_hi", "count")
+FLOPS_COLUMNS = ("mode", "frames", "k_tokens", "kd_tokens", "layers", "component",
+                 "flops_per_layer")
+CACHE_COLUMNS = ("layer", "total_tokens", "compressed_tokens", "aux_tokens", "bytes",
+                 "ratio_vs_full_token_cache")
 MODES = ("dense", "descriptor", "stream")
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -80,6 +88,8 @@ class RunSpec:
             if choices is not None and getattr(self, f.name) not in choices:
                 raise ValueError(f"{f.name} must be one of {choices}, "
                                  f"got {getattr(self, f.name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def dtype(self) -> type:
@@ -299,11 +309,13 @@ def _cmd_flops(args) -> int:
     reduction, k, kd = analysis.attention_core_reduction(desc_cfg, run.frames)
 
     args.out.mkdir(parents=True, exist_ok=True)
-    with open(args.out / "flops.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        rows = dense.csv_rows()
-        writer.writerows(rows)
-        writer.writerows(desc.csv_rows()[1:])
+    # per mode: one row per component, then the per-layer and all-layer totals
+    rows = [dict(zip(FLOPS_COLUMNS, (r.mode, r.frames, r.k_tokens, r.kd_tokens,
+                                     r.layers, name, flops)))
+            for r in (dense, desc)
+            for name, flops in (*sorted(r.components.items()),
+                                ("total_per_layer", r.per_layer_total), ("total", r.total))]
+    _write_csv(args.out / "flops.csv", FLOPS_COLUMNS, rows)
     print(f"K={k} K_d={kd} attention-core reduction K/K_d = {reduction:.2f}x")
     if run.frames in analysis.REFERENCE_RESOURCES["pflops"]["dense"]:
         ref = analysis.reference_end_to_end_reduction(run.frames)
@@ -324,7 +336,10 @@ def _cmd_stream(args) -> int:
     _, cache = _forward(run, "stream")
     report = cache_report(cache)
     args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "cache_report.csv").write_text(report.to_csv())
+    rows = [dict(zip(CACHE_COLUMNS, (s.layer, s.total_tokens, s.compressed_tokens,
+                                     s.aux_tokens, s.bytes, f"{s.ratio_vs_full:.8f}")))
+            for s in report.layers]
+    _write_csv(args.out / "cache_report.csv", CACHE_COLUMNS, rows)
     print(f"frames={report.frames_seen} cache_tokens={report.total_tokens} "
           f"ratio_vs_full={report.ratio_vs_full:.6f}")
     return EXIT_OK
@@ -356,6 +371,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "verify":
+            RunSpec(seed=args.seed)  # rejects a negative seed, as the run commands do
             return EXIT_OK if verify.run_all(args.seed) else EXIT_VERIFY
         if args.command == "bench":
             return _cmd_bench(args)

@@ -3,7 +3,8 @@
 A descriptor bundle for a sequence holds, in this fixed order:
 
 1. compressed patch descriptors, frame 0..S-1, cells row-major;
-2. camera and register tokens of every frame (verbatim copies);
+2. camera and register tokens of every frame (verbatim copies), which share
+   the one ``SPECIAL`` kind;
 3. all tokens of the first frame (verbatim);
 4. all tokens of each selected key frame, in frame order (verbatim).
 
@@ -23,6 +24,7 @@ as when that frame is compressed alone: a stack compresses bitwise as its
 frames do one by one, and a single grid is the same path with no leading axis.
 bilinear and learned_conv widen only the taps they gather, and avgpool's mean
 widens its cells as it sums; topk_norm widens every token once, for its norms.
+learned_conv's weights are fixed: every call draws them from seed 0.
 """
 
 from __future__ import annotations
@@ -44,24 +46,22 @@ LLOYD_MAX_ITER = 100
 
 class DescriptorKind(enum.IntEnum):
     COMPRESSED = 0
-    CAMERA = 1
-    REGISTER = 2
-    FIRST_FRAME_PATCH = 3
-    KEYFRAME_PATCH = 4
+    SPECIAL = 1  # a camera or register token
+    FIRST_FRAME_PATCH = 2
+    KEYFRAME_PATCH = 3
 
 
 @dataclass(frozen=True)
 class CompressionMethod:
     """Spatial compression strategy and its ratio.
 
-    ``seed`` only matters for ``learned_conv``, whose depth-wise and
-    point-wise weights are drawn from it (they are never trained; the method
-    exists to make the compressor family comparable at matched budget).
+    ``learned_conv`` draws its depth-wise and point-wise weights from seed 0,
+    the same for every call (they are never trained; the method exists to
+    make the compressor family comparable at matched budget).
     """
 
     kind: str = "bilinear"
     ratio: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in COMPRESSION_KINDS:
@@ -157,8 +157,8 @@ def _learned_conv(grid: np.ndarray, method: CompressionMethod,
                   out_h: int, out_w: int) -> np.ndarray:
     r = method.ratio
     c = grid.shape[-1]
-    # one draw per call, shared by every frame of the stack
-    gen = rng(method.seed)
+    # seed 0: the same weights for every call and every frame of the stack
+    gen = rng(0)
     depthwise = gen.standard_normal((r, r, c)) / r
     pointwise = gen.standard_normal((c, c)) / np.sqrt(c)
     mixed = np.zeros((*grid.shape[:-3], out_h, out_w, c), dtype=np.float64)
@@ -338,18 +338,16 @@ def build_bundle(t: TokenTensor, method: CompressionMethod,
                              f"array inside [0, {s}), got {keyframes!r}")
         keyframes = keyframes.astype(np.int32)
     per_frame = method.tokens_per_frame(lay)
-    special, grids = split_grid(t, slice(None))
+    special, grids = split_grid(t)
     # one (tokens, frames, kinds) triple per block, in bundle order
     blocks = [(compress_frame(grids, method).reshape(-1, c),
                np.repeat(np.arange(s, dtype=np.int32), per_frame),
                np.full(s * per_frame, DescriptorKind.COMPRESSED, dtype=np.int8))]
 
     if keyframes is not None:
-        special_kinds = np.repeat(np.array([DescriptorKind.CAMERA, DescriptorKind.REGISTER],
-                                           dtype=np.int8), [lay.n_camera, lay.n_register])
         blocks.append((special.reshape(-1, c),
                        np.repeat(np.arange(s, dtype=np.int32), lay.n_special),
-                       np.tile(special_kinds, s)))
+                       np.full(s * lay.n_special, DescriptorKind.SPECIAL, dtype=np.int8)))
         if frame_offset == 0:
             blocks.append((t.values[0], np.zeros(n, dtype=np.int32),
                            np.full(n, DescriptorKind.FIRST_FRAME_PATCH, dtype=np.int8)))

@@ -137,15 +137,14 @@ def softmax_numerators(m: np.ndarray, out: np.ndarray | None = None
     return out, denom
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               eps: float = LAYER_NORM_EPS) -> np.ndarray:
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Normalize each row to mean 0 / variance 1, then apply the affine map.
 
-    Computes ``(x - mean) / sqrt(var + eps) * gamma + beta`` in float64, in
-    that order, on one float64 copy of ``x`` updated in place; ``x`` itself
-    is never written.  The mean is ``np.add.reduce(d, -1) / n``, which is
-    bitwise ``np.mean``, and the variance is the mean of ``np.square`` of the
-    centred rows, bitwise ``np.mean((x - mean) ** 2)``.
+    Computes ``(x - mean) / sqrt(var + LAYER_NORM_EPS) * gamma + beta`` in
+    float64, in that order, on one float64 copy of ``x`` updated in place;
+    ``x`` itself is never written.  The mean is ``np.add.reduce(d, -1) / n``,
+    which is bitwise ``np.mean``, and the variance is the mean of
+    ``np.square`` of the centred rows, bitwise ``np.mean((x - mean) ** 2)``.
     """
     x = np.asarray(x)
     gamma = np.asarray(gamma)
@@ -158,7 +157,7 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     d = x.astype(np.float64)
     d -= np.add.reduce(d, axis=-1, keepdims=True) / n
     var = np.add.reduce(np.square(d), axis=-1, keepdims=True) / n
-    var += eps
+    var += LAYER_NORM_EPS
     d /= np.sqrt(var, out=var)
     d *= gamma.astype(np.float64, copy=False)
     d += beta.astype(np.float64, copy=False)

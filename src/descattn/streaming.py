@@ -19,8 +19,6 @@ would expose, which is what makes the offline stack an oracle for this module.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +28,6 @@ from .attention import descriptor_attention, frame_attention
 from .compression import (DescriptorBundle, DescriptorKind, build_bundle,
                           select_keyframes)
 from .tokens import FrameLayout, TokenTensor
-
-CACHE_CSV_COLUMNS = ("layer", "total_tokens", "compressed_tokens", "aux_tokens",
-                     "bytes", "ratio_vs_full_token_cache")
 
 
 @dataclass(frozen=True)
@@ -87,8 +82,7 @@ def _retained_subset(bundle: DescriptorBundle, retain_rate: int) -> DescriptorBu
 
 
 def step(chunk: TokenTensor, cache: MemoryCache, cfg: StreamConfig,
-         weights: list[LayerWeights] | None = None
-         ) -> tuple[TokenTensor, MemoryCache]:
+         weights: list[LayerWeights]) -> tuple[TokenTensor, MemoryCache]:
     """Process one chunk against the cache; returns (chunk output, new cache).
 
     The cache is not mutated; the returned cache shares the retained arrays.
@@ -99,8 +93,6 @@ def step(chunk: TokenTensor, cache: MemoryCache, cfg: StreamConfig,
     if chunk.layout != cache.layout or len(cache.layers) != base.layers:
         raise ValueError("cache layout/depth inconsistent with the stream config")
     check_dtype(chunk, base)
-    if weights is None:
-        weights = init_weights(base)
 
     offset = cache.frames_seen
     keyframes = None
@@ -186,18 +178,6 @@ class CacheReport:
                    full_token_baseline=baseline, total_tokens=total,
                    total_bytes=sum(s.bytes for s in stats),
                    ratio_vs_full=total / baseline if baseline else 0.0)
-
-    def csv_rows(self) -> list[list]:
-        rows = [list(CACHE_CSV_COLUMNS)]
-        for s in self.layers:
-            rows.append([s.layer, s.total_tokens, s.compressed_tokens,
-                         s.aux_tokens, s.bytes, f"{s.ratio_vs_full:.8f}"])
-        return rows
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        csv.writer(buf).writerows(self.csv_rows())
-        return buf.getvalue()
 
 
 def cache_report(cache: MemoryCache) -> CacheReport:

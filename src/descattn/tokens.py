@@ -43,13 +43,10 @@ class FrameLayout:
         return self.n_special + self.h * self.w
 
 
-def image_grid_layout(channels: int, longest_side: int = 518, patch: int = 14,
-                      n_camera: int = 1, n_register: int = 4) -> FrameLayout:
-    """Layout whose patch grid matches a square image encoded at ``patch``-pixel
-    granularity (default 518 px / 14 px patches -> a 37 x 37 grid)."""
-    side = longest_side // patch
-    return FrameLayout(h=side, w=side, n_camera=n_camera,
-                       n_register=n_register, channels=channels)
+def image_grid_layout(channels: int) -> FrameLayout:
+    """Layout of a 518 px square image in 14 px patches: a 37 x 37 grid with
+    one camera and four register tokens."""
+    return FrameLayout(h=37, w=37, channels=channels)
 
 
 @dataclass(frozen=True)
@@ -118,19 +115,14 @@ def generate_synthetic(frames: int, layout: FrameLayout, seed: int,
     return TokenTensor(layout, values)
 
 
-def split_grid(t: TokenTensor, frame: int | slice) -> tuple[np.ndarray, np.ndarray]:
-    """Split one frame, or a slice of frames, into (special tokens, patch grid).
+def split_grid(t: TokenTensor) -> tuple[np.ndarray, np.ndarray]:
+    """Split every frame into its special tokens and its patch grid.
 
-    An index gives the frame's (n_special, C) special tokens and its
-    H x W x C grid; a slice gives the (F, n_special, C) and (F, H, W, C)
-    stacks of its F frames.  Both are views of ``t``.  Concatenating the two
-    parts of a frame in layout order reproduces it exactly.  An index
-    outside [0, S) raises ``IndexError``.
+    Returns the (S, n_special, C) and (S, H, W, C) stacks, both views of
+    ``t``.  Concatenating a frame's two parts in layout order reproduces it
+    exactly.
     """
-    if not isinstance(frame, slice) and not 0 <= frame < t.frames:
-        raise IndexError(f"frame {frame} out of range for {t.frames} frames")
     lay = t.layout
-    rows = t.values[frame]
-    special = rows[..., :lay.n_special, :]
-    grid = rows[..., lay.n_special:, :].reshape(*rows.shape[:-2], lay.h, lay.w, lay.channels)
+    special = t.values[:, :lay.n_special, :]
+    grid = t.values[:, lay.n_special:, :].reshape(t.frames, lay.h, lay.w, lay.channels)
     return special, grid

@@ -40,11 +40,6 @@ class TestFlops:
         assert costs["bilinear"] == 2 * 4 * frames * 4 * 32
         assert costs["learned_conv"] > costs["bilinear"]
 
-    def test_csv_rows_shape(self):
-        rows = flops_attention(cfg_with(), 3).csv_rows()
-        assert rows[0][0] == "mode"
-        assert rows[-1][-2] == "total"
-
 
 class TestMemoryModel:
     def test_identity_settings_have_ratio_one(self):

@@ -160,7 +160,7 @@ class TestMasks:
     def test_chunked_mask_boundaries(self):
         mask = AttentionMask.chunked(4, 12)
         assert mask.cuts == (4, 8)
-        ends = mask.block_end(np.array([0, 3, 4, 7, 8, 11]))
+        ends, _ = mask.limits(np.array([0, 3, 4, 7, 8, 11]), np.arange(12))
         assert list(ends[:4]) == [3, 3, 7, 7]
         assert ends[4] > 10 and ends[5] > 10
 
@@ -176,7 +176,7 @@ class TestMasks:
         bundle = build_bundle(sub, CompressionMethod("bilinear", 4), frame_offset=1)
         with pytest.warns(MaskedRowWarning):
             out = descriptor_attention(t, bundle, init_block_weights(1, 32, 4),
-                                       AttentionMask.frame_causal(2))
+                                       AttentionMask.chunked(1, 2))
         assert np.all(np.isfinite(out.values))
 
     def test_negative_provenance_rejected_under_mask(self):
@@ -185,7 +185,7 @@ class TestMasks:
         bad = replace(bundle, frames=bundle.frames - 5)
         with pytest.raises(ValueError, match="provenance"):
             descriptor_attention(t, bad, init_block_weights(1, 32, 4),
-                                 AttentionMask.frame_causal(2))
+                                 AttentionMask.chunked(1, 2))
 
 
 class TestDescriptorOracle:
@@ -215,7 +215,7 @@ class TestDescriptorOracle:
     def test_empty_bundle_rejected(self):
         t = generate_synthetic(2, DESK, 1)
         w = init_block_weights(1, 32, 4)
-        for mask in (AttentionMask(), AttentionMask.frame_causal(2)):
+        for mask in (AttentionMask(), AttentionMask.chunked(1, 2)):
             with pytest.raises(ValueError, match="empty bundle"):
                 descriptor_attention(t, DescriptorBundle.empty(32), w, mask)
 

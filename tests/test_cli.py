@@ -1,6 +1,7 @@
 """Command-line harness: subcommands, exit codes, CSV artifacts."""
 
 import csv
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -151,7 +152,35 @@ class TestStreamAndHistogram:
             assert total > 0
 
 
+class TestOutputPins:
+    """sha256 of each report file for ``TINY``: a change to a CSV layout or
+    to the numbers behind it shows here."""
+
+    @pytest.mark.parametrize("command,name,digest", [
+        ("flops", "flops.csv",
+         "2d798f688b1bc59ebfb57eda0ce75da0d9de21c5868aa04be6839a63b40299ac"),
+        ("stream", "cache_report.csv",
+         "93021c05b5726742c4ad0a5d207cf73f5d72cf32be795c236baff52d898e71b8"),
+        ("histogram", "histogram_frame.csv",
+         "773ceceed98149b6dc6d3331a3cddd4dfd2653a343924f69809852dce3b74ccc"),
+        ("histogram", "histogram_global.csv",
+         "9fc045e6dbd0f6ce4ac1b97c0a1695a8a6c9b48e26805174aa7072aa4f53a157"),
+    ], ids=["flops", "cache_report", "histogram_frame", "histogram_global"])
+    def test_report_bytes_are_pinned(self, command, name, digest, tmp_path):
+        assert main([command, *TINY, "--out", str(tmp_path)]) == EXIT_OK
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["verify", "flops", "bench", "stream", "histogram"])
+    def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):
+        out = [] if command == "verify" else ["--out", str(tmp_path)]
+        assert main([command, "--seed", "-1", *out]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "invalid configuration: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["bench", "--bogus"]) == EXIT_USAGE
         # flops always writes both of its tables, so no subcommand takes --format

@@ -84,11 +84,9 @@ class TestCompressFrame:
 
     def test_learned_conv_deterministic_per_seed(self):
         grid = rng(6).standard_normal((8, 8, 4)).astype(np.float32)
-        a = compress_frame(grid, CompressionMethod("learned_conv", 2, seed=9))
-        b = compress_frame(grid, CompressionMethod("learned_conv", 2, seed=9))
-        c = compress_frame(grid, CompressionMethod("learned_conv", 2, seed=10))
+        a = compress_frame(grid, CompressionMethod("learned_conv", 2))
+        b = compress_frame(grid, CompressionMethod("learned_conv", 2))
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
 
     def test_ratio_larger_than_grid_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -177,7 +175,7 @@ class TestBuildBundle:
         n_spec = 3 * 5
         assert np.all(kinds[:n_comp] == int(DescriptorKind.COMPRESSED))
         spec = kinds[n_comp:n_comp + n_spec]
-        assert set(spec) == {int(DescriptorKind.CAMERA), int(DescriptorKind.REGISTER)}
+        assert np.all(spec == int(DescriptorKind.SPECIAL))
         first = kinds[n_comp + n_spec:n_comp + n_spec + DESK.tokens_per_frame]
         assert np.all(first == int(DescriptorKind.FIRST_FRAME_PATCH))
         assert np.all(kinds[n_comp + n_spec + DESK.tokens_per_frame:]
@@ -206,8 +204,8 @@ class TestBuildBundle:
     def test_verbatim_copies_are_uncompressed(self):
         t = generate_synthetic(3, DESK, 6)
         b = build_bundle(t, CompressionMethod("avgpool", 4), np.array([0, 2]))
-        cam = (b.kinds == int(DescriptorKind.CAMERA)) & (b.frames == 1)
-        assert np.array_equal(b.descriptors[cam], t.values[1, :1])
+        special = (b.kinds == int(DescriptorKind.SPECIAL)) & (b.frames == 1)
+        assert np.array_equal(b.descriptors[special], t.values[1, :DESK.n_special])
 
     @pytest.mark.parametrize("kind", COMPRESSION_KINDS)
     @pytest.mark.parametrize("first", [True, False])
@@ -226,8 +224,7 @@ class TestBuildBundle:
                 parts.append((compress_frame(grid, method), f,
                               [DescriptorKind.COMPRESSED] * 12))
             for f in range(5):
-                parts.append((t.values[f, :3], f, [DescriptorKind.CAMERA] * 2
-                              + [DescriptorKind.REGISTER]))
+                parts.append((t.values[f, :3], f, [DescriptorKind.SPECIAL] * 3))
             if first:
                 parts.append((t.values[0], 0, [DescriptorKind.FIRST_FRAME_PATCH] * 66))
             for f in keys:

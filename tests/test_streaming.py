@@ -45,20 +45,20 @@ class TestStep:
         cfg = StreamConfig(base=base, chunk_size=2)
         t = generate_synthetic(3, DESK, 0)
         with pytest.raises(ValueError, match="chunk"):
-            step(t, MemoryCache.empty(cfg), cfg)
+            step(t, MemoryCache.empty(cfg), cfg, init_weights(cfg.base))
 
     def test_cache_layout_mismatch_rejected(self):
         cfg_a = StreamConfig(base=desc_base(layout=DESK))
         cfg_b = StreamConfig(base=desc_base(layout=PATCH_ONLY))
         t = generate_synthetic(2, PATCH_ONLY, 0)
         with pytest.raises(ValueError, match="cache"):
-            step(t, MemoryCache.empty(cfg_a), cfg_b)
+            step(t, MemoryCache.empty(cfg_a), cfg_b, init_weights(cfg_b.base))
 
     def test_token_dtype_mismatch_rejected(self):
         cfg = StreamConfig(base=desc_base())  # float32
         t = generate_synthetic(2, DESK, 0, dtype=np.float64)
         with pytest.raises(ValueError, match="float64.*float32"):
-            step(t, MemoryCache.empty(cfg), cfg)
+            step(t, MemoryCache.empty(cfg), cfg, init_weights(cfg.base))
 
     def test_queries_never_include_cached_tokens(self):
         # output frame count always equals the chunk frame count
@@ -145,7 +145,7 @@ class TestMemoryLaw:
         assert first.sum() == DESK.tokens_per_frame
         assert np.all(store.frames[first] == 0)
         # camera/register and key-frame anchors are never retained
-        assert not np.any(store.kinds == int(DescriptorKind.CAMERA))
+        assert not np.any(store.kinds == int(DescriptorKind.SPECIAL))
         assert not np.any(store.kinds == int(DescriptorKind.KEYFRAME_PATCH))
 
     def test_every_chunk_sees_one_first_frame_group(self, monkeypatch):
@@ -195,16 +195,6 @@ class TestCacheReport:
         _, cache = run_stream(t, cfg)
         assert cache_report(cache).ratio_vs_full <= 1.0
 
-    def test_csv_shape(self):
-        base = desc_base(layers=3, seed=27)
-        cfg = StreamConfig(base=base, chunk_size=2, retain_rate=2)
-        t = generate_synthetic(4, DESK, 28)
-        _, cache = run_stream(t, cfg)
-        text = cache_report(cache).to_csv()
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        assert len(lines) == 1 + 3
-        assert lines[0].startswith("layer,total_tokens,compressed_tokens")
-
 
 class TestConfigValidation:
     def test_dense_base_rejected(self):
@@ -214,7 +204,7 @@ class TestConfigValidation:
     def test_masked_base_rejected(self):
         with pytest.raises(ValueError, match="mask"):
             StreamConfig(base=replace(desc_base(),
-                                      mask=AttentionMask.frame_causal(4)))
+                                      mask=AttentionMask.chunked(1, 4)))
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -48,42 +48,29 @@ def test_values_are_frozen():
 class TestSplitGrid:
     def test_split_then_concat_is_identity(self):
         t = generate_synthetic(3, DESK, 5)
-        special, grid = split_grid(t, 1)
-        rebuilt = np.concatenate([special, grid.reshape(-1, 32)], axis=0)
+        special, grid = split_grid(t)
+        assert special.shape == (3, DESK.n_special, 32)
+        assert grid.shape == (3, 8, 8, 32)
+        assert np.shares_memory(special, t.values) and np.shares_memory(grid, t.values)
+        rebuilt = np.concatenate([special[1], grid[1].reshape(-1, 32)], axis=0)
         assert np.array_equal(rebuilt, t.values[1])
 
     def test_no_special_tokens(self):
         lay = FrameLayout(h=4, w=4, n_camera=0, n_register=0, channels=8)
         t = generate_synthetic(2, lay, 1)
-        special, grid = split_grid(t, 0)
-        assert special.shape == (0, 8)
-        assert grid.shape == (4, 4, 8)
+        special, grid = split_grid(t)
+        assert special.shape == (2, 0, 8)
+        assert grid.shape == (2, 4, 4, 8)
+        assert np.shares_memory(grid, t.values)
 
     def test_patch_offset_matches_layout(self):
         t = generate_synthetic(2, DESK, 9)
-        _, grid = split_grid(t, 0)
-        for i, j in [(0, 0), (2, 5), (7, 7)]:
-            offset = DESK.n_special + i * DESK.w + j
-            assert np.array_equal(grid[i, j], t.values[0, offset])
-
-    def test_frame_out_of_range(self):
-        t = generate_synthetic(2, DESK, 0)
-        with pytest.raises(IndexError):
-            split_grid(t, 2)
-
-    def test_slice_stacks_the_per_frame_splits(self):
-        t = generate_synthetic(5, DESK, 3)
-        for frames in (slice(None), slice(1, 4), slice(4, 0, -2)):
-            special, grid = split_grid(t, frames)
-            picked = range(t.frames)[frames]
-            assert special.shape == (len(picked), DESK.n_special, 32)
-            assert grid.shape == (len(picked), 8, 8, 32)
-            for i, f in enumerate(picked):
-                one_special, one_grid = split_grid(t, f)
-                assert np.array_equal(special[i], one_special)
-                assert np.array_equal(grid[i], one_grid)
-        with pytest.raises(IndexError):
-            split_grid(t, -1)
+        _, grid = split_grid(t)
+        assert np.shares_memory(grid, t.values)
+        for f in range(2):
+            for i, j in [(0, 0), (2, 5), (7, 7)]:
+                offset = DESK.n_special + i * DESK.w + j
+                assert np.array_equal(grid[f, i, j], t.values[f, offset])
 
 
 def test_token_frames_map():
