@@ -9,7 +9,10 @@ Exit codes: 0 success, 2 usage error, 3 verification failure, 4 I/O error.
 
 Flags may also come from a flat ``key=value`` config file (``--config``);
 explicit command-line flags override file values and an unknown key is a
-usage error.  For ``bench``, ``--frames``, ``--ratio``, ``--retain`` and
+usage error.  Each run subcommand takes only the settings it reads
+(``_READS``): ``flops`` has no ``--retain`` or ``--chunk``, and ``histogram``
+only the token, head, seed and precision settings; any other flag or key is
+a usage error too.  For ``bench``, ``--frames``, ``--ratio``, ``--retain`` and
 ``--chunk`` accept comma-separated lists and it runs the cartesian product,
 each (configuration, mode) once.  Every sweep CSV row carries the complete
 configuration needed to reproduce it, plus a checksum of the output tokens.
@@ -128,6 +131,14 @@ class RunSpec:
 
 
 _CONFIG_COLUMNS = tuple(COLUMN_NAMES.get(f.name, f.name) for f in fields(RunSpec))
+# The RunSpec fields each run subcommand reads, and so takes as flags and
+# ``--config`` keys; any other is a usage error, as an unknown key is.
+_RUN_FIELDS = tuple(f.name for f in fields(RunSpec))
+_READS = {"bench": _RUN_FIELDS,
+          "flops": tuple(n for n in _RUN_FIELDS if n not in ("retain", "chunk")),
+          "stream": _RUN_FIELDS,
+          "histogram": ("frames", "channels", "heads", "grid", "camera", "register",
+                        "seed", "precision")}
 # The v2 layout.  v1 rows (which also had ``repeat`` and ``wall_ms``) still
 # replay, because ``from_row`` reads the configuration columns by name.
 SWEEP_COLUMNS = ("run_id", "mode", *_CONFIG_COLUMNS, "tokens", "cache_tokens", "checksum")
@@ -221,10 +232,13 @@ def _write_csv(path: Path, columns, rows: list[dict]) -> None:
             writer.writerow(row)
 
 
-def _add_run_flags(p: argparse.ArgumentParser, bench: bool) -> None:
-    """One flag per RunSpec field.  ``bench`` takes comma lists on the swept
-    axes, whose cartesian product it runs."""
+def _add_run_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """One flag per RunSpec field that ``command`` reads.  ``bench`` takes
+    comma lists on the swept axes, whose cartesian product it runs."""
+    bench = command == "bench"
     for f in fields(RunSpec):
+        if f.name not in _READS[command]:
+            continue
         flag = f"--{f.name}"
         if bench and f.name in COLUMN_NAMES:
             p.add_argument(flag, type=_int_list, default=[f.default])
@@ -253,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        ("stream", "streaming cache occupancy report"),
                        ("histogram", "attention-score histograms")):
         p = sub.add_parser(name, allow_abbrev=False, help=text)
-        _add_run_flags(p, bench=name == "bench")
+        _add_run_flags(p, name)
         p.add_argument("--out", default=".", type=Path)
         p.add_argument("--config", default=None, type=Path)
     return parser

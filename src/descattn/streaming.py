@@ -113,19 +113,16 @@ def step(chunk: TokenTensor, cache: MemoryCache, cfg: StreamConfig,
     return x, new_cache
 
 
-def run_stream(t: TokenTensor, cfg: StreamConfig,
-               weights: list[LayerWeights] | None = None
-               ) -> tuple[TokenTensor, MemoryCache]:
-    """Stream the whole sequence chunk by chunk; returns (outputs in frame
-    order, final cache).
+def run_stream(t: TokenTensor, cfg: StreamConfig) -> tuple[TokenTensor, MemoryCache]:
+    """Stream the whole sequence chunk by chunk with the config's weights,
+    ``init_weights(cfg.base)``; returns (outputs in frame order, final cache).
 
     A single chunk covering the full sequence reproduces the offline
     descriptor forward bit for bit.
     """
     if t.layout != cfg.base.layout:
         raise ValueError(f"token layout {t.layout} does not match config {cfg.base.layout}")
-    if weights is None:
-        weights = init_weights(cfg.base)
+    weights = init_weights(cfg.base)
     cache = MemoryCache.empty(cfg)
     outputs = []
     c = cfg.chunk_size

@@ -9,8 +9,10 @@ import pytest
 from descattn.cli import (SWEEP_COLUMNS, EXIT_IO, EXIT_OK, EXIT_USAGE,
                           EXIT_VERIFY, RunSpec, main, run_from_row, sweep)
 
-TINY = ["--frames", "2", "--grid", "4x4", "--channels", "16", "--heads", "2",
-        "--ratio", "2", "--layers", "1", "--seed", "3"]
+# histogram reads no compression, stream or layer setting
+TINY_HISTOGRAM = ["--frames", "2", "--grid", "4x4", "--channels", "16", "--heads", "2",
+                  "--seed", "3"]
+TINY = [*TINY_HISTOGRAM, "--ratio", "2", "--layers", "1"]
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -143,7 +145,7 @@ class TestStreamAndHistogram:
             "frames=6 cache_tokens=33 ratio_vs_full=0.261905\n"
 
     def test_histogram_files(self, tmp_path):
-        code = main(["histogram", *TINY, "--out", str(tmp_path)])
+        code = main(["histogram", *TINY_HISTOGRAM, "--out", str(tmp_path)])
         assert code == EXIT_OK
         for mode in ("frame", "global"):
             rows = read_csv(tmp_path / f"histogram_{mode}.csv")
@@ -167,7 +169,8 @@ class TestOutputPins:
          "9fc045e6dbd0f6ce4ac1b97c0a1695a8a6c9b48e26805174aa7072aa4f53a157"),
     ], ids=["flops", "cache_report", "histogram_frame", "histogram_global"])
     def test_report_bytes_are_pinned(self, command, name, digest, tmp_path):
-        assert main([command, *TINY, "--out", str(tmp_path)]) == EXIT_OK
+        tiny = TINY_HISTOGRAM if command == "histogram" else TINY
+        assert main([command, *tiny, "--out", str(tmp_path)]) == EXIT_OK
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
@@ -185,8 +188,23 @@ class TestExitCodes:
         assert main(["bench", "--bogus"]) == EXIT_USAGE
         # flops always writes both of its tables, so no subcommand takes --format
         for command in ("bench", "flops", "stream", "histogram"):
-            assert main([command, *TINY, "--format", "md",
+            tiny = TINY_HISTOGRAM if command == "histogram" else TINY
+            assert main([command, *tiny, "--format", "md",
                          "--out", str(tmp_path)]) == EXIT_USAGE, command
+
+    def test_setting_the_command_does_not_read_is_usage_error(self, tmp_path, capsys):
+        # flops reads no stream setting, histogram only the token, head, seed
+        # and precision settings: the others are unknown flags and keys
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        for command, key, value in (("flops", "chunk", "0"), ("flops", "retain", "0"),
+                                    ("histogram", "ratio", "99"), ("histogram", "layers", "0"),
+                                    ("histogram", "interval", "0"),
+                                    ("histogram", "method", "topk_norm")):
+            cfg.write_text(f"{key}={value}\n")
+            for flags in ([f"--{key}", value], ["--config", str(cfg)]):
+                assert main([command, *flags, "--out", str(out)]) == EXIT_USAGE
+                assert f"--{key}" in capsys.readouterr().err, (command, flags)
+        assert not out.exists()
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE

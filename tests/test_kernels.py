@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from descattn.kernels import (ShapeError, gelu, half_pixel_centers, layer_norm,
                               matmul, mlp, resample_bilinear, resample_nearest,
@@ -85,19 +83,6 @@ class TestSoftmax:
         x = rng(1).standard_normal((4, 9))
         p = stable_softmax_rows(x)
         assert np.array_equal(np.argsort(x, axis=-1), np.argsort(p, axis=-1))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.floats(-200, 200), min_size=1, max_size=24),
-           st.floats(-100, 100))
-    # shifting in float32 rounds this row's logit gap to 1.0000076, which
-    # moves the softmax by 1.5e-6; the float64 shift keeps the gap exact
-    @example([95.0, 96.0], 32.02382787681714)
-    def test_rows_sum_to_one_and_shift_invariant(self, row, shift):
-        x = np.array([row], dtype=np.float32)
-        p = stable_softmax_rows(x)
-        assert abs(p.sum(dtype=np.float64) - 1.0) <= 1e-6
-        q = stable_softmax_rows(x.astype(np.float64) + shift)
-        assert np.max(np.abs(q - p)) <= 1e-6
 
     def test_all_masked_row_is_zero(self):
         p = stable_softmax_rows(np.array([[-np.inf, -np.inf]]))

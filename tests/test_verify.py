@@ -2,8 +2,11 @@
 
 ``verify.CHECKS`` is the single list; each entry runs here at seed 0, the
 ``descattn verify`` default, so the CLI and pytest check the same things.
-Unit tests elsewhere do not restate a check, and do not import this module.
-Every check or test that an acceptance gate cites as a home must exist.
+A check that draws its inputs draws them from its seed, so one more test
+runs the whole list at seeds Hypothesis draws, and seed 1; ``descattn
+verify --seed N`` reproduces a failing seed.  Unit tests elsewhere do not
+restate a check, and do not import this module.  Every check or test that
+an acceptance gate cites as a home must exist.
 """
 
 import ast
@@ -11,6 +14,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from descattn import verify
 
@@ -30,6 +35,13 @@ def test_names_are_unique():
 @pytest.mark.parametrize("check", [fn for _, fn in verify.CHECKS], ids=NAMES)
 def test_check(check):
     check(seed=0)
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(1)
+def test_every_check_passes_at_drawn_seeds(seed):
+    assert verify.run_all(seed)
 
 
 def test_checks_run_only_here():
