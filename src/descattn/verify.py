@@ -5,7 +5,8 @@ violation.  ``CHECKS`` is the one list of named invariants: ``run_all``
 executes every check and reports one PASS/FAIL line per name, the CLI
 ``verify`` subcommand exits nonzero if anything fails, and pytest
 parametrizes over ``CHECKS`` (``tests/test_verify.py``), one test id per name.
-A check is the only home of its invariant: no pytest property restates it.
+No pytest property restates a check, except the stream property in
+``tests/test_streaming.py``, whose ``@example``s are pinned cases here.
 A check over generated inputs draws its cases from ``kernels.rng(seed)`` and
 also runs pinned cases, inputs that once exposed a fault, at every seed, so
 ``descattn verify --seed N`` reproduces any failure at seed N.  The suite is
@@ -15,6 +16,7 @@ intentionally desk-scale: a full pass takes seconds on an ordinary machine.
 from __future__ import annotations
 
 import csv
+import functools
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -354,43 +356,67 @@ def _draw_stream_case(gen: np.random.Generator) -> _StreamCase:
                        (np.float32, np.float64)[gen.integers(2)])
 
 
-def check_cache_law_causality_offline(seed: int) -> None:
-    """For drawn and pinned (S, c, p, r, kind, anchors, layers, precision),
-    each of these runs at least once: the live cache is the memory model's
-    record and, per layer, ceil(S / p) frames of descriptors plus the
-    verbatim first frame when anchors are on; outputs before a chunk start
-    are bitwise unchanged when later frames change, and later ones change;
-    a chunk covering the sequence is the offline forward, bitwise."""
+@functools.lru_cache(maxsize=1)
+def _stream_runs(seed: int) -> tuple[tuple, ...]:
+    """(case, cfg, tokens, out, cache) of the pinned and the six drawn stream
+    cases at ``seed``, each streamed once for the five checks below."""
     gen = rng(seed)
-    ran = {"cache law": 0, "causality": 0, "offline": 0}
+    runs = []
     for case in (*_PINNED_STREAMS, *(_draw_stream_case(gen) for _ in range(6))):
-        lay, b = case.layout, case.boundary
-        base = _desc_cfg(layout=lay, seed=seed, layers=case.layers, heads=2,
+        base = _desc_cfg(layout=case.layout, seed=seed, layers=case.layers, heads=2,
                          method=CompressionMethod(case.kind, case.ratio),
                          include_aux=case.aux, selector=KeyframeSelector(interval=3),
                          dtype=case.dtype)
         cfg = streaming.StreamConfig(base=base, chunk_size=case.chunk,
                                      retain_rate=case.retain)
-        t = generate_synthetic(case.frames, lay, seed, dtype=case.dtype)
-        out, cache = streaming.run_stream(t, cfg)
-        model = analysis.memory_model(cfg, case.frames)
-        assert model == streaming.cache_report(cache), case
-        expect = (-(-case.frames // case.retain) * base.method.tokens_per_frame(lay),
-                  lay.tokens_per_frame if case.aux else 0)
-        assert [(s.compressed_tokens, s.aux_tokens) for s in model.layers] == \
-            [expect] * case.layers, case
-        ran["cache law"] += 1
+        t = generate_synthetic(case.frames, case.layout, seed, dtype=case.dtype)
+        runs.append((case, cfg, t, *streaming.run_stream(t, cfg)))
+    return tuple(runs)
+
+
+def check_streaming_causality(seed: int) -> None:
+    """Outputs before a chunk start are bitwise unchanged when later frames
+    change, and later ones change."""
+    ran = 0
+    for case, cfg, t, out, _ in _stream_runs(seed):
+        b = case.boundary
         if b < case.frames:
             bumped = t.values.copy()
             bumped[b:] = bumped[b:] * case.scale + case.shift
-            out2, _ = streaming.run_stream(TokenTensor(lay, bumped), cfg)
+            out2, _ = streaming.run_stream(TokenTensor(t.layout, bumped), cfg)
             assert np.array_equal(out.values[:b], out2.values[:b]), case
             assert not np.allclose(out.values[b:], out2.values[b:]), case
-            ran["causality"] += 1
+            ran += 1
+    assert ran, "no case has a chunk start inside its sequence"
+
+
+def check_memory_law(seed: int) -> None:
+    """Per layer, ceil(S / p) frames of descriptors plus the verbatim first
+    frame when anchors are on."""
+    for case, cfg, t, _, cache in _stream_runs(seed):
+        compressed = -(-case.frames // case.retain) * cfg.base.method.tokens_per_frame(t.layout)
+        aux = t.layout.tokens_per_frame if case.aux else 0
+        assert [(s.total_tokens, s.compressed_tokens, s.aux_tokens)
+                for s in streaming.cache_report(cache).layers] == \
+            [(compressed + aux, compressed, aux)] * case.layers, case
+
+
+def check_sublinear_growth(seed: int) -> None:
+    for case, cfg, t, _, cache in _stream_runs(seed):
+        bound = ((case.frames / case.retain + 1) * cfg.base.method.tokens_per_frame(t.layout)
+                 + t.layout.tokens_per_frame)
+        for layer in streaming.cache_report(cache).layers:
+            assert layer.total_tokens <= bound, (case, layer.total_tokens, bound)
+
+
+def check_full_chunk_matches_offline(seed: int) -> None:
+    """A chunk covering the sequence is the offline forward, bitwise."""
+    ran = 0
+    for case, cfg, t, out, _ in _stream_runs(seed):
         if case.chunk >= case.frames:
-            assert np.array_equal(out.values, forward_offline(t, base).values), case
-            ran["offline"] += 1
-    assert min(ran.values()) > 0, ran
+            assert np.array_equal(out.values, forward_offline(t, cfg.base).values), case
+            ran += 1
+    assert ran, "no case has one chunk covering its sequence"
 
 
 def check_core_ratio(seed: int) -> None:
@@ -410,6 +436,11 @@ def check_core_ratio(seed: int) -> None:
                 assert dense.attention_core == desc.attention_core * ratio ** 2, ratio
                 assert analysis.attention_core_reduction(cfg, 6) == \
                     (ratio ** 2, desc.k_tokens, desc.kd_tokens), ratio
+
+
+def check_memory_model_matches_live(seed: int) -> None:
+    for case, cfg, _, _, cache in _stream_runs(seed):
+        assert analysis.memory_model(cfg, case.frames) == streaming.cache_report(cache), case
 
 
 def check_cache_chunk_invariant(seed: int) -> None:
@@ -464,8 +495,12 @@ CHECKS = [
     ("aggregator.mode_equivalence_per_layer", check_mode_equivalence_layers),
     ("aggregator.bundles_differ_across_layers", check_bundles_differ_across_layers),
     ("aggregator.bitwise_determinism", check_aggregator_determinism),
-    ("streaming.cache_law_causality_offline", check_cache_law_causality_offline),
+    ("streaming.causality", check_streaming_causality),
+    ("streaming.memory_law", check_memory_law),
+    ("streaming.sublinear_growth", check_sublinear_growth),
+    ("streaming.full_chunk_matches_offline", check_full_chunk_matches_offline),
     ("analysis.core_ratio_equals_k_over_kd", check_core_ratio),
+    ("analysis.memory_model_matches_live_cache", check_memory_model_matches_live),
     ("streaming.cache_invariant_to_chunking", check_cache_chunk_invariant),
     ("bench.csv_rows_reproducible", check_bench_rows_reproducible),
 ]

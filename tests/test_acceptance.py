@@ -2,11 +2,11 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  A gate checks only the part of its claim that no ``descattn verify``
-check (``verify.CHECKS``, one pytest id each in ``test_verify.py``) or unit
-test checks, and names the home of the rest in single backticks;
-``test_verify.py`` fails if such a name is not a check or a test that
-exists.  Criteria 6 and 7 are checked entirely elsewhere, and their numbers
-stay reserved:
+check (``verify.CHECKS``, one pytest id each in ``test_verify.py``), unit
+test or Hypothesis property checks, and names the home of the rest in single
+backticks; ``test_verify.py`` fails if such a name is not a check or a test
+that exists.  Criteria 6 and 7 are checked entirely elsewhere, and their
+numbers stay reserved:
 
 - criterion 6, kernel numerics: `kernels.softmax_rows_sum_to_one`,
   `kernels.bilinear_exact_on_affine_fields`,
@@ -93,7 +93,8 @@ def test_criterion_2_complexity_claim():
 def test_criterion_3_memory_claim():
     """The live cache's ratio to a full-token cache hits 1/(p*r^2) within 5%
     at S=50 on divisible pure patch grids.  That the live record equals the
-    closed form is `streaming.cache_law_causality_offline`."""
+    closed form is `analysis.memory_model_matches_live_cache` and
+    `test_streaming.py::TestMemoryLaw`."""
     patch8 = d.FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=8)
     for p in (1, 2, 5):
         for r in (1, 2, 4):
@@ -114,7 +115,7 @@ def test_criterion_3_memory_claim():
 def test_criterion_4_streaming_equivalence():
     """Chunked streaming with p=1 matches the block-causal offline oracle
     within 1e-4 (float32, S=12, c=4, L=4).  That c=S streaming is bitwise
-    offline is `streaming.cache_law_causality_offline`."""
+    offline is `streaming.full_chunk_matches_offline`."""
     base = _cfg(PATCH_ONLY, layers=4, ratio=2, include_aux=False, seed=41)
     t = d.generate_synthetic(12, PATCH_ONLY, 41)
     chunked, _ = d.run_stream(t, d.StreamConfig(base=base, chunk_size=4,
@@ -128,7 +129,7 @@ def test_criterion_4_streaming_equivalence():
 def test_criterion_5_causality():
     """Under a block-causal mask, chunk-t outputs of the dense and the
     descriptor stack are invariant (<=1e-6) to perturbing later chunks.
-    Streaming causality is `streaming.cache_law_causality_offline`.
+    Streaming causality is `streaming.causality`.
 
     The runs use the fixed-stride key-frame selector: cluster selection
     scans the whole sequence, so its choice may shift when future frames

@@ -1,22 +1,26 @@
-"""Chunk-recursive streaming: single steps, retention, the persisted first
-frame, cache records and config validation.  The cache law, causality and
-c >= S offline equivalence over drawn inputs are one ``descattn verify``
-check, ``streaming.cache_law_causality_offline``."""
+"""Chunk-recursive streaming: single steps, retention, cache records, and the
+Hypothesis property over the cache law, causality and c >= S offline
+equivalence."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from descattn import streaming
-from descattn.aggregator import AggregatorConfig, init_weights
+from descattn.aggregator import AggregatorConfig, forward_offline, init_weights
+from descattn.analysis import memory_model
 from descattn.attention import AttentionMask, descriptor_attention
-from descattn.compression import CompressionMethod, DescriptorKind, KeyframeSelector
+from descattn.compression import (COMPRESSION_KINDS, CompressionMethod, DescriptorKind,
+                                  KeyframeSelector)
 from descattn.streaming import MemoryCache, StreamConfig, cache_report, run_stream, step
 from descattn.tokens import FrameLayout, TokenTensor, generate_synthetic
 
 DESK = FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=32)
 PATCH_ONLY = FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=32)
+SMALL = FrameLayout(h=4, w=4, n_camera=1, n_register=4, channels=8)
 
 
 def desc_base(layout=DESK, ratio=2, include_aux=True, layers=2, seed=0,
@@ -79,7 +83,58 @@ class TestDegenerateChunking:
         assert np.array_equal(streamed.values, out.values)
 
 
+@st.composite
+def stream_cases(draw):
+    """(S, c, p, r, kind, aux, layers, boundary); the boundary is a chunk start."""
+    frames = draw(st.integers(1, 8))
+    chunk = draw(st.integers(1, frames + 2))
+    chunks = -(-frames // chunk)
+    return (frames, chunk, draw(st.integers(1, 4)), draw(st.sampled_from((1, 2, 4))),
+            draw(st.sampled_from(COMPRESSION_KINDS)), draw(st.booleans()),
+            draw(st.integers(1, 2)), chunk * draw(st.integers(1, chunks)))
+
+
 class TestMemoryLaw:
+    @settings(max_examples=25, deadline=None)
+    @given(stream_cases(), st.sampled_from((np.float32, np.float64)))
+    @example((7, 4, 1, 4, "bilinear", False, 2, 4), np.float32)
+    @example((7, 4, 2, 4, "bilinear", False, 2, 4), np.float32)
+    @example((12, 4, 5, 4, "bilinear", False, 2, 8), np.float32)
+    @example((20, 4, 5, 4, "bilinear", False, 2, 12), np.float32)
+    @example((7, 3, 2, 2, "avgpool", True, 2, 3), np.float64)
+    @example((50, 10, 1, 4, "bilinear", False, 1, 40), np.float32)
+    @example((50, 10, 2, 2, "bilinear", False, 1, 40), np.float32)
+    def test_law_causality_and_full_chunk(self, case, dtype):
+        frames, chunk, p, r, kind, aux, layers, boundary = case
+        base = AggregatorConfig(layout=SMALL, layers=layers, heads=2,
+                                global_mode="descriptor",
+                                method=CompressionMethod(kind, r), include_aux=aux,
+                                selector=KeyframeSelector(interval=3), seed=frames,
+                                dtype=dtype)
+        cfg = StreamConfig(base=base, chunk_size=chunk, retain_rate=p)
+        t = generate_synthetic(frames, SMALL, 100 + frames, dtype=dtype)
+        out, cache = run_stream(t, cfg)
+
+        # the memory law: the live record (tokens, bytes, ratios) is the closed form's
+        model = memory_model(cfg, frames)
+        assert model == cache_report(cache)
+        per_frame = base.method.tokens_per_frame(SMALL)
+        for layer in model.layers:
+            assert layer.compressed_tokens == -(-frames // p) * per_frame
+            assert layer.aux_tokens == (SMALL.tokens_per_frame if aux else 0)
+
+        # causality: chunks before the boundary ignore every later frame, bitwise
+        if boundary < frames:
+            bumped = t.values.copy()
+            bumped[boundary:] *= -3.0
+            out2, _ = run_stream(TokenTensor(SMALL, bumped), cfg)
+            assert np.array_equal(out.values[:boundary], out2.values[:boundary])
+            assert not np.array_equal(out.values[boundary:], out2.values[boundary:])
+
+        # one chunk covering the sequence is the offline forward, bitwise
+        if chunk >= frames:
+            assert np.array_equal(out.values, forward_offline(t, base).values)
+
     def test_first_frame_persists_across_chunks(self):
         base = desc_base(include_aux=True, ratio=4, layers=1, seed=17)
         cfg = StreamConfig(base=base, chunk_size=2, retain_rate=2)
