@@ -41,14 +41,16 @@ depend on scheduling, and each row's softmax still sees all of its keys, so
 tiling is exact.  Weights are cast to float64 once per block call, not once
 per tile.
 
-A mask's cuts split the frames into blocks, and a query sees only the keys
-whose provenance frame does not lie past its own block.  With cuts, each
-tile's boolean visibility is built from the queries' last visible frame
-(``AttentionMask.limits``) and hidden scores become -inf before the softmax;
-without cuts it hides nothing and builds no array.  A row with no visible key
-degenerates to a residual passthrough of the attention sub-block and raises
-MaskedRowWarning; valid configurations never produce one because a query's
-own frame is always visible to it.
+A mask's chunk size c splits the frames into blocks of c, the chunks of a
+stream, and a query sees only the keys whose provenance frame does not lie
+past its own block.  With c > 0, each tile's boolean visibility is built from
+the queries' last visible frame (``AttentionMask.limits``) and hidden scores
+become -inf before the softmax; c = 0 hides nothing and builds no array.
+A row with no visible key degenerates to a residual passthrough of the
+attention sub-block and raises MaskedRowWarning; valid configurations never
+produce one because a query's own frame is always visible to it.  Every
+block, the diagnostics' included, checks that its queries, keys and weights
+share C.
 
 No positional encoding is applied anywhere: frame identity flows only through
 token content and masks.
@@ -140,47 +142,35 @@ def init_block_weights(seed: int, channels: int, heads: int, dtype=np.float32) -
 
 @dataclass(frozen=True)
 class AttentionMask:
-    """Block-causal visibility over frames.
+    """Block-causal visibility over frames, the visibility a stream of
+    ``chunk_size``-frame chunks gives.
 
-    ``cuts`` are the frame indices where a new block starts (strictly
-    increasing, all > 0); frame f belongs to the block whose range contains
-    it, and a query in frame f may attend only to keys whose provenance frame
-    is <= the last frame of f's block.  The final block is unbounded, so one
-    mask works for any sequence at least as long as its last cut, and a mask
-    with no cuts hides nothing.  ``chunked(c, S)`` cuts every c frames, the
-    visibility a stream of c-frame chunks gives; ``chunked(1, S)`` makes
-    every frame its own block.
+    Frame f lies in block f // c, and a query in frame f may attend only to
+    keys whose provenance frame is at most (f // c + 1) * c - 1, the last
+    frame of its block.  ``AttentionMask(1)`` makes every frame its own
+    block; the default, 0, hides nothing.
     """
 
-    cuts: tuple[int, ...] = ()
+    chunk_size: int = 0
 
     def __post_init__(self):
-        cuts = tuple(int(c) for c in self.cuts)
-        if any(c <= 0 for c in cuts) or any(b <= a for a, b in zip(cuts, cuts[1:])):
-            raise ValueError(f"cuts must be strictly increasing and positive, got {cuts}")
-        object.__setattr__(self, "cuts", cuts)
-
-    @classmethod
-    def chunked(cls, chunk_size: int, frames: int) -> "AttentionMask":
-        """A cut every ``chunk_size`` frames, below ``frames``."""
-        return cls(tuple(range(chunk_size, frames, chunk_size)))
+        if not isinstance(self.chunk_size, (int, np.integer)) or self.chunk_size < 0:
+            raise ValueError(f"chunk size must be an integer >= 0, got {self.chunk_size!r}")
 
     def limits(self, query_frames: np.ndarray, key_frames: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
         """The (Q,) last visible key frame of each query and the (K,) key
         frames: query i may attend to key j iff ``keys[j] <= ends[i]``.
 
-        The kernels ask only when there are cuts, since without them every
-        key is visible, and build each query tile's visibility from these
-        rather than a full (Q, K) array."""
+        The kernels ask only for a chunk size > 0, since 0 hides nothing, and
+        build each query tile's visibility from these rather than a full
+        (Q, K) array."""
         key_frames = np.asarray(key_frames, dtype=np.int64)
         if key_frames.size and key_frames.min() < 0:
             raise ValueError("mask boundaries inconsistent with provenance: "
                              "negative key frame index")
-        cuts = np.asarray(self.cuts, dtype=np.int64)
-        block = np.searchsorted(cuts, np.asarray(query_frames, dtype=np.int64), side="right")
-        ends = np.append(cuts - 1, np.iinfo(np.int64).max)
-        return ends[block], key_frames
+        c = self.chunk_size
+        return (np.asarray(query_frames, dtype=np.int64) // c + 1) * c - 1, key_frames
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -292,6 +282,9 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     timing; freeing the workspaces or K/V before the tails would move it
     into the workers' overlap, which does.
     """
+    if not x_q.shape[-1] == kv.shape[-1] == w.channels:
+        raise ValueError(f"channels differ: queries {x_q.shape[-1]}, "
+                         f"keys {kv.shape[-1]}, weights {w.channels}")
     whole = _whole_groups(x_q.shape[1], kv.shape[1])
     wo, w1, w2 = (m.astype(np.float64) for m in (w.wo, w.w1, w.w2))
     out = np.empty_like(x_q)
@@ -388,8 +381,6 @@ def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights) ->
 
 def frame_attention(t: TokenTensor, w: BlockWeights) -> TokenTensor:
     """Self-attention within each frame independently; frames never interact."""
-    if w.channels != t.channels:
-        raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
     # frames are the batch axis; one array for both roles, so LN1 runs once
     return t.with_values(_attention_block(t.values, t.values, w, None))
 
@@ -400,11 +391,9 @@ def dense_global_attention(t: TokenTensor, w: BlockWeights,
 
     This is the exact reference that descriptor attention approximates.
     """
-    if w.channels != t.channels:
-        raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
     flat = t.flat()[None]
     limits = None
-    if mask.cuts:
+    if mask.chunk_size:
         frames = t.token_frames()
         limits = mask.limits(frames, frames)
     out = _attention_block(flat, flat, w, limits)
@@ -420,11 +409,7 @@ def descriptor_attention(t: TokenTensor, bundle: DescriptorBundle, w: BlockWeigh
     """
     if not bundle.count:
         raise ValueError("descriptor_attention got an empty bundle: no keys to attend to")
-    if bundle.channels != t.channels:
-        raise ValueError(f"bundle channels {bundle.channels} != token channels {t.channels}")
-    if w.channels != t.channels:
-        raise ValueError(f"weight channels {w.channels} != token channels {t.channels}")
-    limits = mask.limits(t.token_frames(), bundle.frames) if mask.cuts else None
+    limits = mask.limits(t.token_frames(), bundle.frames) if mask.chunk_size else None
     out = _attention_block(t.flat()[None], bundle.descriptors[None], w, limits)
     return t.with_values(out.reshape(t.values.shape))
 

@@ -10,9 +10,10 @@ Exit codes: 0 success, 2 usage error, 3 verification failure, 4 I/O error.
 Flags may also come from a flat ``key=value`` config file (``--config``);
 explicit command-line flags override file values and an unknown key is a
 usage error.  Each run subcommand takes only the settings it reads
-(``_READS``): ``flops`` has no ``--retain`` or ``--chunk``, and ``histogram``
-only the token, head, seed and precision settings; any other flag or key is
-a usage error too.  For ``bench``, ``--frames``, ``--ratio``, ``--retain`` and
+(``_READS``): ``flops`` has no ``--retain``, ``--chunk``, ``--selector`` or
+``--precision``, and ``histogram`` only the token, head, seed and precision
+settings; any other flag or key is a usage error too.  ``verify`` takes
+``--seed`` alone.  For ``bench``, ``--frames``, ``--ratio``, ``--retain`` and
 ``--chunk`` accept comma-separated lists and it runs the cartesian product,
 each (configuration, mode) once.  Every sweep CSV row carries the complete
 configuration needed to reproduce it, plus a checksum of the output tokens.
@@ -135,7 +136,8 @@ _CONFIG_COLUMNS = tuple(COLUMN_NAMES.get(f.name, f.name) for f in fields(RunSpec
 # ``--config`` keys; any other is a usage error, as an unknown key is.
 _RUN_FIELDS = tuple(f.name for f in fields(RunSpec))
 _READS = {"bench": _RUN_FIELDS,
-          "flops": tuple(n for n in _RUN_FIELDS if n not in ("retain", "chunk")),
+          "flops": tuple(n for n in _RUN_FIELDS
+                         if n not in ("retain", "chunk", "selector", "precision")),
           "stream": _RUN_FIELDS,
           "histogram": ("frames", "channels", "heads", "grid", "camera", "register",
                         "seed", "precision")}
@@ -261,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", allow_abbrev=False,
                               help="run the named invariant suite")
     p_verify.add_argument("--seed", default=0, type=int)
-    p_verify.add_argument("--config", default=None, type=Path)
     for name, text in (("bench", "checksummed dense/descriptor/stream runs"),
                        ("flops", "analytic FLOP report"),
                        ("stream", "streaming cache occupancy report"),
@@ -316,11 +317,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_flops(args) -> int:
     [run] = _runs_from_args(args)
-    dense_cfg = run.aggregator_config("dense")
-    desc_cfg = run.aggregator_config("descriptor")
-    dense = analysis.flops_attention(dense_cfg, run.frames)
-    desc = analysis.flops_attention(desc_cfg, run.frames)
-    reduction, k, kd = analysis.attention_core_reduction(desc_cfg, run.frames)
+    dense = analysis.flops_attention(run.aggregator_config("dense"), run.frames)
+    desc = analysis.flops_attention(run.aggregator_config("descriptor"), run.frames)
+    reduction = dense.attention_core / desc.attention_core
 
     args.out.mkdir(parents=True, exist_ok=True)
     # per mode: one row per component, then the per-layer and all-layer totals
@@ -330,7 +329,8 @@ def _cmd_flops(args) -> int:
             for name, flops in (*sorted(r.components.items()),
                                 ("total_per_layer", r.per_layer_total), ("total", r.total))]
     _write_csv(args.out / "flops.csv", FLOPS_COLUMNS, rows)
-    print(f"K={k} K_d={kd} attention-core reduction K/K_d = {reduction:.2f}x")
+    print(f"K={dense.k_tokens} K_d={desc.kd_tokens} "
+          f"attention-core reduction K/K_d = {reduction:.2f}x")
     if run.frames in analysis.REFERENCE_RESOURCES["pflops"]["dense"]:
         ref = analysis.reference_end_to_end_reduction(run.frames)
         print(f"published end-to-end reduction at S={run.frames}: {ref:.2f}x "

@@ -43,7 +43,7 @@ class StreamConfig:
             raise ValueError(f"retain rate must be >= 1, got {self.retain_rate}")
         if self.base.global_mode != "descriptor":
             raise ValueError("streaming runs the descriptor global mode only")
-        if self.base.mask.cuts:
+        if self.base.mask.chunk_size:
             raise ValueError("streaming enforces causality by construction; "
                              "configure the base without a mask")
 

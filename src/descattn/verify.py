@@ -120,9 +120,17 @@ def check_kernels_pure(seed: int) -> None:
 
 
 def check_k_definition(seed: int) -> None:
+    """K = S * N, and the global sequence is a frame-major view of the
+    frames: flat row f * N + n is token n of frame f, and token i's frame is
+    i // N."""
     t = generate_synthetic(5, _DESK, seed)
-    assert t.total_tokens == t.frames * t.layout.tokens_per_frame
-    assert t.flat().shape == (t.total_tokens, t.channels)
+    k, n = t.total_tokens, t.tokens_per_frame
+    assert k == t.frames * t.layout.tokens_per_frame
+    flat = t.flat()
+    assert flat.shape == (k, t.channels)
+    assert np.array_equal(flat[np.arange(t.frames)[:, None] * n + np.arange(n)], t.values)
+    assert np.shares_memory(flat, t.values)
+    assert np.array_equal(t.token_frames(), np.arange(k) // n)
 
 
 def check_matched_budget(seed: int) -> None:
@@ -208,19 +216,18 @@ def check_key_duplication(seed: int) -> None:
 
 def check_masked_independence(seed: int) -> None:
     """Block [a, e) of a block-causal mask sees exactly frames [0, e): its rows
-    equal an unmasked pass over that prefix, for drawn (S, cuts) and the
-    frame-causal mask on four frames."""
+    equal an unmasked pass over that prefix, for drawn (S, c) and the
+    frame-causal mask, c = 1, on four frames."""
     gen = rng(seed)
-    cases = [(4, (1, 2, 3))] + [
-        (int(s), tuple((np.flatnonzero(gen.integers(0, 2, s - 1)) + 1).tolist()))
-        for s in gen.integers(2, 6, 3)]
+    cases = [(4, 1)] + [(int(s), int(gen.integers(1, s + 1))) for s in gen.integers(2, 6, 3)]
     w = init_block_weights(seed + 2, 32, 4)
-    for frames, cuts in cases:
+    for frames, c in cases:
         t = generate_synthetic(frames, _DESK, seed)
-        out = dense_global_attention(t, w, AttentionMask(cuts))
-        for a, e in zip((0, *cuts), (*cuts, frames)):
+        out = dense_global_attention(t, w, AttentionMask(c))
+        for a in range(0, frames, c):
+            e = min(a + c, frames)
             prefix = dense_global_attention(TokenTensor(_DESK, t.values[:e]), w)
-            assert np.max(np.abs(out.values[a:e] - prefix.values[a:e])) <= 1e-6, (cuts, a)
+            assert np.max(np.abs(out.values[a:e] - prefix.values[a:e])) <= 1e-6, (c, a)
 
 
 def check_worker_count_invariance(seed: int) -> None:
@@ -229,7 +236,8 @@ def check_worker_count_invariance(seed: int) -> None:
     whatever the CPU count; one runs the same tiles here.  The offline
     forwards' frame attention deals whole groups of 3, 3 and 2 frames, all
     heads at once; every global block, the stream's included, deals 128-row
-    query tiles, head by head."""
+    query tiles, head by head, and the dense forward's ``AttentionMask(3)``
+    ends its blocks inside tiles."""
     saved = attention._WORKERS
     try:
         for dtype in (np.float32, np.float64):
@@ -237,9 +245,9 @@ def check_worker_count_invariance(seed: int) -> None:
             assert t.total_tokens > 2 * attention.QUERY_TILE
             cfg = _desc_cfg(seed=seed, dtype=dtype)
             passes = {
-                # cuts at rows 207 and 345 fall inside tiles
+                # blocks end at rows 207 and 414, inside 128-row tiles
                 "dense": lambda: forward_offline(t, _desc_cfg(
-                    seed=seed, dtype=dtype, mask=AttentionMask((3, 5))
+                    seed=seed, dtype=dtype, mask=AttentionMask(3)
                 ).with_mode("dense")),
                 "descriptor": lambda: forward_offline(t, cfg),
                 # three chunks of 207, 207 and 138 queries

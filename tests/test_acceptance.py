@@ -120,7 +120,7 @@ def test_criterion_4_streaming_equivalence():
     t = d.generate_synthetic(12, PATCH_ONLY, 41)
     chunked, _ = d.run_stream(t, d.StreamConfig(base=base, chunk_size=4,
                                                 retain_rate=1))
-    oracle = d.forward_offline(t, replace(base, mask=d.AttentionMask.chunked(4, 12)))
+    oracle = d.forward_offline(t, replace(base, mask=d.AttentionMask(4)))
     err = float(np.max(np.abs(chunked.values - oracle.values)))
     assert err <= 1e-4, err
     print(f"\nPASS criterion 4: block-causal oracle err {err:.2e} <= 1e-4")
@@ -139,7 +139,7 @@ def test_criterion_5_causality():
     bumped = t.values.copy()
     bumped[4:] *= -3.0  # layer norm would cancel a constant shift
     t2 = d.TokenTensor(DESK, bumped)
-    mask = d.AttentionMask.chunked(4, 8)
+    mask = d.AttentionMask(4)
 
     worst = 0.0
     for mode in ("dense", "descriptor"):

@@ -143,17 +143,16 @@ class TestMasks:
         assert np.array_equal(a.values, b.values)
 
     def test_chunked_mask_boundaries(self):
-        mask = AttentionMask.chunked(4, 12)
-        assert mask.cuts == (4, 8)
+        mask = AttentionMask(4)
         ends, _ = mask.limits(np.array([0, 3, 4, 7, 8, 11]), np.arange(12))
         assert list(ends[:4]) == [3, 3, 7, 7]
         assert ends[4] > 10 and ends[5] > 10
 
     def test_bad_cuts_rejected(self):
         with pytest.raises(ValueError):
-            AttentionMask((3, 3))
+            AttentionMask(-1)
         with pytest.raises(ValueError):
-            AttentionMask((0,))
+            AttentionMask(2.5)
 
     def test_fully_masked_row_warns_and_passes_residual(self):
         t = generate_synthetic(2, DESK, 9)
@@ -161,7 +160,7 @@ class TestMasks:
         bundle = build_bundle(sub, CompressionMethod("bilinear", 4), frame_offset=1)
         with pytest.warns(MaskedRowWarning):
             out = descriptor_attention(t, bundle, init_block_weights(1, 32, 4),
-                                       AttentionMask.chunked(1, 2))
+                                       AttentionMask(1))
         assert np.all(np.isfinite(out.values))
 
     def test_negative_provenance_rejected_under_mask(self):
@@ -170,7 +169,7 @@ class TestMasks:
         bad = replace(bundle, frames=bundle.frames - 5)
         with pytest.raises(ValueError, match="provenance"):
             descriptor_attention(t, bad, init_block_weights(1, 32, 4),
-                                 AttentionMask.chunked(1, 2))
+                                 AttentionMask(1))
 
 
 class TestDescriptorOracle:
@@ -197,10 +196,20 @@ class TestDescriptorOracle:
         with pytest.raises(ValueError, match="channels"):
             descriptor_attention(t, bundle, init_block_weights(1, 32, 4))
 
+    def test_diagnostics_reject_a_channel_mismatch(self):
+        # the check lives in the block, so the diagnostics run it too
+        t = generate_synthetic(2, DESK, 1)
+        w16 = init_block_weights(1, 16, 4)
+        with pytest.raises(ValueError, match="channels"):
+            attention_probabilities(t.flat(), t.flat(), w16)
+        for mode in ("frame", "global"):
+            with pytest.raises(ValueError, match="channels"):
+                attention_score_histogram(t, w16, mode)
+
     def test_empty_bundle_rejected(self):
         t = generate_synthetic(2, DESK, 1)
         w = init_block_weights(1, 32, 4)
-        for mask in (AttentionMask(), AttentionMask.chunked(1, 2)):
+        for mask in (AttentionMask(), AttentionMask(1)):
             with pytest.raises(ValueError, match="empty bundle"):
                 descriptor_attention(t, DescriptorBundle.empty(32), w, mask)
 
@@ -369,13 +378,14 @@ class TestQueryTiles:
             out = dense_global_attention(t, w)
             np.testing.assert_allclose(out.flat(), expect, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("cuts", [(3,), (2, 5, 6)])
-    def test_masked_multi_tile_equals_unmasked_prefix(self, cuts):
+    @pytest.mark.parametrize("chunk", [3, 2], ids=["cuts0", "cuts1"])
+    def test_masked_multi_tile_equals_unmasked_prefix(self, chunk):
         # tile edges (every 128 rows, 1.9 frames) fall inside mask blocks
         t = generate_synthetic(8, DESK, 36)
         w = init_block_weights(37, 32, 4)
-        out = dense_global_attention(t, w, AttentionMask(cuts))
-        for a, e in zip((0, *cuts), (*cuts, t.frames)):
+        out = dense_global_attention(t, w, AttentionMask(chunk))
+        for a in range(0, t.frames, chunk):
+            e = min(a + chunk, t.frames)
             prefix = dense_global_attention(TokenTensor(DESK, t.values[:e]), w)
             assert np.max(np.abs(out.values[a:e] - prefix.values[a:e])) <= 1e-6
 

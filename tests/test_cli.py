@@ -1,13 +1,16 @@
 """Command-line harness: subcommands, exit codes, CSV artifacts."""
 
+import argparse
 import csv
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
 
 from descattn.cli import (SWEEP_COLUMNS, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                          EXIT_VERIFY, RunSpec, main, run_from_row, sweep)
+                          EXIT_VERIFY, RunSpec, _build_parser, main, run_from_row,
+                          sweep)
 
 # histogram reads no compression, stream or layer setting
 TINY_HISTOGRAM = ["--frames", "2", "--grid", "4x4", "--channels", "16", "--heads", "2",
@@ -155,23 +158,30 @@ class TestStreamAndHistogram:
 
 
 class TestOutputPins:
-    """sha256 of each report file for ``TINY``: a change to a CSV layout or
-    to the numbers behind it shows here."""
+    """sha256 of each report file, and of ``flops``'s standard output, for
+    ``TINY``: a change to a CSV layout or to the numbers behind it shows here."""
 
     @pytest.mark.parametrize("command,name,digest", [
         ("flops", "flops.csv",
          "2d798f688b1bc59ebfb57eda0ce75da0d9de21c5868aa04be6839a63b40299ac"),
+        ("flops", "flops.md",
+         "ea480932cdc2b15277907c729dc2879835bb5e1b2646d5b4a69d7b8d953d40d2"),
+        ("flops", "stdout",
+         "695ef0ff9a82d760457243a0a204ad6ec17837922f35c07339ee7111bfb58f72"),
         ("stream", "cache_report.csv",
          "93021c05b5726742c4ad0a5d207cf73f5d72cf32be795c236baff52d898e71b8"),
         ("histogram", "histogram_frame.csv",
          "773ceceed98149b6dc6d3331a3cddd4dfd2653a343924f69809852dce3b74ccc"),
         ("histogram", "histogram_global.csv",
          "9fc045e6dbd0f6ce4ac1b97c0a1695a8a6c9b48e26805174aa7072aa4f53a157"),
-    ], ids=["flops", "cache_report", "histogram_frame", "histogram_global"])
-    def test_report_bytes_are_pinned(self, command, name, digest, tmp_path):
+    ], ids=["flops", "flops_md", "flops_stdout", "cache_report", "histogram_frame",
+            "histogram_global"])
+    def test_report_bytes_are_pinned(self, command, name, digest, tmp_path, capsys):
         tiny = TINY_HISTOGRAM if command == "histogram" else TINY
         assert main([command, *tiny, "--out", str(tmp_path)]) == EXIT_OK
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+        data = (capsys.readouterr().out.encode() if name == "stdout"
+                else (tmp_path / name).read_bytes())
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestExitCodes:
@@ -193,10 +203,13 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == EXIT_USAGE, command
 
     def test_setting_the_command_does_not_read_is_usage_error(self, tmp_path, capsys):
-        # flops reads no stream setting, histogram only the token, head, seed
-        # and precision settings: the others are unknown flags and keys
+        # flops reads no stream, selector or precision setting, histogram only
+        # the token, head, seed and precision settings, and verify only its
+        # seed: the others are unknown flags and keys
         cfg, out = tmp_path / "run.cfg", tmp_path / "out"
         for command, key, value in (("flops", "chunk", "0"), ("flops", "retain", "0"),
+                                    ("flops", "precision", "f64"),
+                                    ("flops", "selector", "random"),
                                     ("histogram", "ratio", "99"), ("histogram", "layers", "0"),
                                     ("histogram", "interval", "0"),
                                     ("histogram", "method", "topk_norm")):
@@ -204,6 +217,9 @@ class TestExitCodes:
             for flags in ([f"--{key}", value], ["--config", str(cfg)]):
                 assert main([command, *flags, "--out", str(out)]) == EXIT_USAGE
                 assert f"--{key}" in capsys.readouterr().err, (command, flags)
+        cfg.write_text("seed=1\n")
+        assert main(["verify", "--config", str(cfg)]) == EXIT_USAGE
+        assert "--config" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_subcommand_is_usage_error(self):
@@ -245,6 +261,32 @@ class TestExitCodes:
 
         monkeypatch.setattr(verify_mod, "CHECKS", [("forced.failure", boom)])
         assert main(["verify"]) == EXIT_VERIFY
+
+
+class TestReadmeFlagTable:
+    def test_table_lists_the_flags_each_subcommand_registers(self):
+        # README's flag table, cell by cell, against the parser: each
+        # subcommand's flags, and the choices the table spells out
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = readme.split("the flags of the settings it reads:\n\n", 1)[1]
+        header, _, *rows = text.split("\n\n", 1)[0].splitlines()
+        columns = [re.findall(r"`(\w+)`", cell) for cell in header.split("|")[2:-1]]
+        documented = {command: {} for names in columns for command in names}
+        for row in rows:
+            flags, *marks = row.split("|")[1:-1]
+            for spec in re.findall(r"`([^`]+)`", flags):
+                name, _, arg = spec.partition(" ")
+                choices = tuple(arg.strip("{}").split(",")) if arg.startswith("{") else None
+                for names, mark in zip(columns, marks):
+                    for command in names if mark.strip() == "yes" else ():
+                        documented[command].update(dict.fromkeys(name.split("/"), choices))
+        [subcommands] = [a for a in _build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        registered = {command: {flag: a.choices and tuple(a.choices)
+                                for a in parser._actions for flag in a.option_strings
+                                if flag not in ("-h", "--help")}
+                      for command, parser in subcommands.choices.items()}
+        assert documented == registered
 
 
 class TestConfigFile:

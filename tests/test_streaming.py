@@ -204,7 +204,7 @@ class TestConfigValidation:
     def test_masked_base_rejected(self):
         with pytest.raises(ValueError, match="mask"):
             StreamConfig(base=replace(desc_base(),
-                                      mask=AttentionMask.chunked(1, 4)))
+                                      mask=AttentionMask(1)))
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
