@@ -33,7 +33,7 @@ for ratio in (1, 2, 4, 8):
     cfg_r = d.AggregatorConfig(layout=layout, layers=2, global_mode="descriptor",
                                method=d.CompressionMethod("bilinear", ratio),
                                include_aux=False, seed=1)
-    err = d.compare_modes(tokens, cfg_r).final_max
+    err = d.compare_modes(tokens, cfg_r).per_layer_max[-1]
     reduction, _, kd = d.attention_core_reduction(cfg_r, tokens.frames)
     print(f"  {ratio:>2} {kd:>6} {reduction:>13.1f}x {err:>14.2e}")
 

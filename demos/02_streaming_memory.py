@@ -32,9 +32,10 @@ print(f"\nper-layer cache: {report.layers[0].total_tokens} tokens "
       f"{report.layers[0].aux_tokens} anchor)")
 print(f"closed-form model says:  {model.layers[0].total_tokens} tokens  "
       f"-> live record == model record: {report == model}")
-print(f"full-token baseline would hold {report.full_token_baseline} tokens; "
-      f"ratio = {report.ratio_vs_full:.4f} "
-      f"(drop limit 1/(p*r^2) = {cfg.drop_ratio_limit:.4f})")
+full = tokens.frames * layout.tokens_per_frame * base.layers
+limit = 1 / (cfg.retain_rate * base.method.ratio ** 2)
+print(f"full-token baseline would hold {full} tokens; "
+      f"ratio = {report.ratio_vs_full:.4f} (drop limit 1/(p*r^2) = {limit:.4f})")
 
 print("\n-- cache growth is sublinear in the frame count --")
 for frames in (10, 20, 40, 80):

@@ -180,10 +180,6 @@ class ErrorReport:
     per_layer_max: tuple[float, ...]
     per_layer_mean: tuple[float, ...]
 
-    @property
-    def final_max(self) -> float:
-        return self.per_layer_max[-1]
-
 
 def divergence(a: TokenTensor, b: TokenTensor) -> tuple[float, float]:
     """(max abs, mean abs) element-wise difference of two token tensors."""

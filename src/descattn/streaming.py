@@ -12,9 +12,12 @@ are enabled: only the first chunk's bundle, at frame offset 0, holds them.
 Camera/register and key-frame anchors are chunk-local and are never retained.
 
 Memory grows sublinearly: per layer, compressed tokens number exactly
-ceil(frames_seen / p) * floor(H/r) * floor(W/r).  With p = 1 the retained key
-set matches what a block-causal offline pass over the same chunk boundaries
-would expose, which is what makes the offline stack an oracle for this module.
+ceil(frames_seen / p) * floor(H/r) * floor(W/r).  With p = 1 and anchors off
+the retained key set matches what a block-causal offline pass over the same
+chunk boundaries would expose, which is what makes the offline stack an
+oracle for this module.  With anchors on it does not: the stream keeps
+camera/register and key-frame anchors chunk-local, while the masked offline
+bundle shows them across blocks.
 """
 
 from __future__ import annotations
@@ -46,12 +49,6 @@ class StreamConfig:
         if self.base.mask.chunk_size:
             raise ValueError("streaming enforces causality by construction; "
                              "configure the base without a mask")
-
-    @property
-    def drop_ratio_limit(self) -> float:
-        """1 / (p * r^2): the cache-to-full-token ratio that pure patch grids
-        approach as the stream grows."""
-        return 1.0 / (self.retain_rate * self.base.method.ratio ** 2)
 
 
 @dataclass(frozen=True)
@@ -155,9 +152,7 @@ class CacheReport:
 
     layers: tuple[LayerCacheStats, ...]
     frames_seen: int
-    full_token_baseline: int
     total_tokens: int
-    total_bytes: int
     ratio_vs_full: float
 
     @classmethod
@@ -171,9 +166,7 @@ class CacheReport:
                       for i, (comp, aux, nbytes) in enumerate(per_layer))
         total = sum(s.total_tokens for s in stats)
         baseline = k * len(stats)
-        return cls(layers=stats, frames_seen=frames_seen,
-                   full_token_baseline=baseline, total_tokens=total,
-                   total_bytes=sum(s.bytes for s in stats),
+        return cls(layers=stats, frames_seen=frames_seen, total_tokens=total,
                    ratio_vs_full=total / baseline if baseline else 0.0)
 
 

@@ -93,8 +93,8 @@ def test_criterion_2_complexity_claim():
 def test_criterion_3_memory_claim():
     """The live cache's ratio to a full-token cache hits 1/(p*r^2) within 5%
     at S=50 on divisible pure patch grids.  That the live record equals the
-    closed form is `analysis.memory_model_matches_live_cache` and
-    `test_streaming.py::TestMemoryLaw`."""
+    closed form is `analysis.memory_model_matches_live_cache`, and the closed
+    form itself is `streaming.memory_law`."""
     patch8 = d.FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=8)
     for p in (1, 2, 5):
         for r in (1, 2, 4):

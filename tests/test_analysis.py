@@ -47,12 +47,8 @@ class TestMemoryModel:
         cfg = StreamConfig(base=base, chunk_size=4, retain_rate=1)
         model = memory_model(cfg, 12)
         assert model.ratio_vs_full == 1.0
-        assert cfg.drop_ratio_limit == 1.0
-
-    def test_drop_ratio_limit_formula(self):
-        base = cfg_with(ratio=4, include_aux=False)
-        cfg = StreamConfig(base=base, chunk_size=10, retain_rate=5)
-        assert cfg.drop_ratio_limit == 1.0 / 80.0
+        # the limit 1 / (p * r^2) is 1 at p = r = 1, and the model reaches it
+        assert model.ratio_vs_full == 1.0 / (cfg.retain_rate * base.method.ratio ** 2)
 
     @pytest.mark.parametrize("include_aux", [True, False], ids=["aux", "no_aux"])
     def test_no_frames_matches_empty_cache(self, include_aux):
@@ -67,7 +63,7 @@ class TestMemoryModel:
         base = cfg_with(layout=PATCH_ONLY, ratio=4, include_aux=False)
         cfg = StreamConfig(base=base, chunk_size=10, retain_rate=5)
         model = memory_model(cfg, 50)
-        assert model.ratio_vs_full == cfg.drop_ratio_limit
+        assert model.ratio_vs_full == 1.0 / (cfg.retain_rate * base.method.ratio ** 2)
 
 
 class TestCompareModes:
@@ -84,7 +80,7 @@ class TestCompareModes:
             for ratio in (1, 2, 4):
                 cfg = cfg_with(layout=PATCH_ONLY, ratio=ratio, include_aux=False,
                                seed=seed)
-                finals.append(compare_modes(t, cfg).final_max)
+                finals.append(compare_modes(t, cfg).per_layer_max[-1])
             if finals[0] <= finals[1] <= finals[2]:
                 wins += 1
         assert wins >= 3, f"only {wins}/5 seeds show a nondecreasing error trend"

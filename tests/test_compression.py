@@ -120,6 +120,24 @@ class TestKeyframes:
         assert np.all(np.diff(picks) > 0)
         assert picks.min() >= 0 and picks.max() < frames
 
+    @pytest.mark.parametrize("scenes,interval,expect",
+                             [((4,), 2, [0, 1]), ((4,), 1, [0, 1, 2, 3]),
+                              ((3, 3), 2, [0, 1, 3])],
+                             ids=["AAAA-interval2", "AAAA-interval1", "AAABBB-interval2"])
+    def test_empty_cluster_takes_nearest_unchosen_frame(self, scenes, interval, expect):
+        # repeated frames leave k-means clusters empty; each empty cluster
+        # takes the unchosen frame nearest its centroid
+        lay = FrameLayout(h=4, w=4, n_camera=0, n_register=0, channels=8)
+        gen = rng(5)
+        vals = np.concatenate([np.repeat(gen.standard_normal((1, lay.tokens_per_frame, 8)),
+                                         n, axis=0) for n in scenes])
+        t = TokenTensor(lay, vals.astype(np.float32))
+        picks = select_keyframes(t, KeyframeSelector("cluster", interval=interval))
+        assert picks.tolist() == expect
+        assert len(picks) == -(-t.frames // interval)
+        assert np.all(np.diff(picks) > 0)
+        assert picks.min() >= 0 and picks.max() < t.frames
+
     def test_cluster_separated_groups(self):
         # two well-separated Gaussian frame groups; compare with a brute-force
         # 2-means oracle over all centroid pairs

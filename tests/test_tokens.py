@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from descattn.tokens import FrameLayout, generate_synthetic, image_grid_layout, split_grid
+from descattn.kernels import rng
+from descattn.tokens import (FrameLayout, TokenTensor, generate_synthetic, image_grid_layout,
+                             split_grid)
 
 DESK = FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=32)
 
@@ -43,6 +45,17 @@ def test_values_are_frozen():
     t = generate_synthetic(2, DESK, 0)
     with pytest.raises(ValueError):
         t.values[0, 0, 0] = 1.0
+
+
+def test_non_contiguous_values_become_a_frozen_c_order_copy():
+    given = np.asfortranarray(rng(4).standard_normal((3, DESK.tokens_per_frame, 32)))
+    assert not given.flags.c_contiguous
+    t = TokenTensor(DESK, given)
+    assert t.values.flags.c_contiguous and not t.values.flags.writeable
+    assert np.array_equal(t.values, given)
+    # the (K, C) global sequence stays a view of the frames
+    assert np.shares_memory(t.flat(), t.values)
+    assert given.flags.writeable
 
 
 class TestSplitGrid:

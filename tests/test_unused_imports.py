@@ -8,7 +8,9 @@ are exempt.  A module-level name of ``src/descattn`` counts as read if some
 file of ``src/`` or ``benchmark/`` loads it, sets or reads it as an
 attribute, imports it, spells it as a whole string (``benchmark/spans.py``
 names its targets so) or lists it in ``__all__``; tests and demos are not
-readers, and dunders are exempt.
+readers, and dunders are exempt.  The same holds for the members of every
+class the package defines: its methods, properties, annotated fields and
+enum values.
 """
 
 import ast
@@ -37,18 +39,21 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-def defined_names(tree: ast.Module) -> dict[str, int]:
-    """Module-level names a module binds, other than by import."""
+def bound_names(body: list[ast.stmt], prefix: str = "") -> dict[str, int]:
+    """Names a module or class body binds, other than by import, with the
+    members of each class it defines as ``Class.member``."""
     defined = {}
-    for node in tree.body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined[node.name] = node.lineno
+            defined[prefix + node.name] = node.lineno
+            if isinstance(node, ast.ClassDef):
+                defined |= bound_names(node.body, f"{prefix}{node.name}.")
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
-                        defined[name.id] = node.lineno
+                        defined[prefix + name.id] = node.lineno
     return defined
 
 
@@ -85,9 +90,10 @@ def test_every_package_name_has_a_reader():
             read |= read_names(ast.parse(path.read_text(), filename=str(path)))
     unread = {}
     for path in sorted((ROOT / "src" / "descattn").rglob("*.py")):
-        defined = defined_names(ast.parse(path.read_text(), filename=str(path)))
+        defined = bound_names(ast.parse(path.read_text(), filename=str(path)).body)
         names = [f"line {line}: {name}" for name, line in defined.items()
-                 if name not in read and not (name.startswith("__") and name.endswith("__"))]
+                 if (leaf := name.rpartition(".")[2]) not in read
+                 and not (leaf.startswith("__") and leaf.endswith("__"))]
         if names:
             unread[str(path.relative_to(ROOT))] = names
     assert unread == {}

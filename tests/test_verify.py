@@ -5,8 +5,7 @@
 A check that draws its inputs draws them from its seed, so one more test
 runs the whole list at seeds Hypothesis draws, and seed 1; ``descattn
 verify --seed N`` reproduces a failing seed.  Unit tests elsewhere do not
-restate a check (the stream property of ``test_streaming.py`` aside), and
-do not import this module.  Every check or test that
+restate a check and do not import this module.  Every check or test that
 an acceptance gate cites as a home must exist.
 """
 
