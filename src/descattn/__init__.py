@@ -14,9 +14,9 @@ from .aggregator import AggregatorConfig, LayerWeights, forward_offline, init_we
 from .analysis import (ErrorReport, FlopReport, attention_core_reduction,
                        compare_modes, divergence, flops_attention, memory_model,
                        reference_end_to_end_reduction)
-from .attention import (AttentionMask, BlockWeights, attention_probabilities,
-                        attention_score_histogram, dense_global_attention,
-                        descriptor_attention, frame_attention, init_block_weights)
+from .attention import (BlockWeights, attention_probabilities, attention_score_histogram,
+                        dense_global_attention, descriptor_attention, frame_attention,
+                        init_block_weights)
 from .compression import (CompressionMethod, DescriptorBundle, DescriptorKind,
                           KeyframeSelector, build_bundle, bundle_token_counts,
                           compress_frame, lloyd, select_keyframes, topk_norm_indices)
@@ -30,7 +30,7 @@ from .tokens import (FrameLayout, TokenTensor, generate_synthetic, image_grid_la
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatorConfig", "AttentionMask", "BlockWeights", "CacheReport",
+    "AggregatorConfig", "BlockWeights", "CacheReport",
     "CompressionMethod", "DescriptorBundle", "DescriptorKind", "ErrorReport",
     "FlopReport", "FrameLayout", "KeyframeSelector", "LayerWeights",
     "MemoryCache", "StreamConfig", "TokenTensor",

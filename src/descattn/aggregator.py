@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import (AttentionMask, BlockWeights, dense_global_attention,
-                        descriptor_attention, frame_attention, init_block_weights)
+from .attention import (BlockWeights, dense_global_attention, descriptor_attention,
+                        frame_attention, init_block_weights)
 from .compression import CompressionMethod, KeyframeSelector, build_bundle, select_keyframes
 from .kernels import rng
 from .tokens import FrameLayout, TokenTensor
@@ -32,7 +32,6 @@ class AggregatorConfig:
     method: CompressionMethod = CompressionMethod()
     include_aux: bool = True
     selector: KeyframeSelector = KeyframeSelector()
-    mask: AttentionMask = AttentionMask()
     seed: int = 0
     dtype: type = np.float32
 
@@ -111,10 +110,10 @@ def forward_offline(t: TokenTensor, cfg: AggregatorConfig,
     for lw in weights:
         x = frame_attention(x, lw.frame)
         if cfg.global_mode == "dense":
-            x = dense_global_attention(x, lw.global_, cfg.mask)
+            x = dense_global_attention(x, lw.global_)
         else:
             bundle = build_bundle(x, cfg.method, keyframes)
-            x = descriptor_attention(x, bundle, lw.global_, cfg.mask)
+            x = descriptor_attention(x, bundle, lw.global_)
         if layer_outputs is not None:
             layer_outputs.append(x)
     return x

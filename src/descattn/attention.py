@@ -18,7 +18,7 @@ numerators.
 
 The diagnostics run the forward.  ``attention_probabilities`` and the score
 histogram call ``_attention_block`` with a ``record`` hook, which sees each
-(tile, head)'s scaled, masked scores just before the softmax overwrites them,
+(tile, head)'s scaled scores just before the softmax overwrites them,
 and take ``stable_softmax_rows`` of those scores: the same numerators divided
 by the same sums, so their probabilities are bitwise the ones the forward's
 context is built from.
@@ -39,21 +39,13 @@ share runs on the calling thread alone, and with W = 1 there is no pool.
 Each worker writes only its own tiles' output rows, so the output does not
 depend on scheduling, and each row's softmax still sees all of its keys, so
 tiling is exact.  Weights are cast to float64 once per block call, not once
-per tile.
+per tile.  Every block, the diagnostics' included, checks that its
+queries, keys and weights share C.
 
-A mask's chunk size c splits the frames into blocks of c, the chunks of a
-stream, and a query sees only the keys whose provenance frame does not lie
-past its own block.  With c > 0, each tile's boolean visibility is built from
-the queries' last visible frame (``AttentionMask.limits``) and hidden scores
-become -inf before the softmax; c = 0 hides nothing and builds no array.
-A row with no visible key degenerates to a residual passthrough of the
-attention sub-block and raises MaskedRowWarning; valid configurations never
-produce one because a query's own frame is always visible to it.  Every
-block, the diagnostics' included, checks that its queries, keys and weights
-share C.
-
-No positional encoding is applied anywhere: frame identity flows only through
-token content and masks.
+Every query sees every key it is given; a stream is causal because
+``streaming.step`` passes a chunk only the keys of frames it has seen.  No
+positional encoding is applied anywhere: frame identity flows only through
+token content.
 """
 
 from __future__ import annotations
@@ -61,7 +53,6 @@ from __future__ import annotations
 import contextvars
 import functools
 import os
-import warnings
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -82,10 +73,6 @@ QUERY_TILE = 256
 _MAX_WORKERS = 2
 _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-
-
-class MaskedRowWarning(RuntimeWarning):
-    """A query row had every key masked out; residual passthrough applied."""
 
 
 @dataclass(frozen=True)
@@ -138,39 +125,6 @@ def init_block_weights(seed: int, channels: int, heads: int, dtype=np.float32) -
         w2=draw(4 * c, c), b2=np.zeros(c, dtype=dtype),
         ln1_gamma=np.ones(c, dtype=dtype), ln1_beta=np.zeros(c, dtype=dtype),
         ln2_gamma=np.ones(c, dtype=dtype), ln2_beta=np.zeros(c, dtype=dtype))
-
-
-@dataclass(frozen=True)
-class AttentionMask:
-    """Block-causal visibility over frames, the visibility a stream of
-    ``chunk_size``-frame chunks gives.
-
-    Frame f lies in block f // c, and a query in frame f may attend only to
-    keys whose provenance frame is at most (f // c + 1) * c - 1, the last
-    frame of its block.  ``AttentionMask(1)`` makes every frame its own
-    block; the default, 0, hides nothing.
-    """
-
-    chunk_size: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.chunk_size, (int, np.integer)) or self.chunk_size < 0:
-            raise ValueError(f"chunk size must be an integer >= 0, got {self.chunk_size!r}")
-
-    def limits(self, query_frames: np.ndarray, key_frames: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """The (Q,) last visible key frame of each query and the (K,) key
-        frames: query i may attend to key j iff ``keys[j] <= ends[i]``.
-
-        The kernels ask only for a chunk size > 0, since 0 hides nothing, and
-        build each query tile's visibility from these rather than a full
-        (Q, K) array."""
-        key_frames = np.asarray(key_frames, dtype=np.int64)
-        if key_frames.size and key_frames.min() < 0:
-            raise ValueError("mask boundaries inconsistent with provenance: "
-                             "negative key frame index")
-        c = self.chunk_size
-        return (np.asarray(query_frames, dtype=np.int64) // c + 1) * c - 1, key_frames
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -241,18 +195,17 @@ def _run_shares(calls: list) -> None:
 
 
 def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
-                     limits: tuple[np.ndarray, np.ndarray] | None,
                      record: Callable[[tuple, int | slice, np.ndarray], None] | None = None
                      ) -> np.ndarray:
     """One full pre-norm block: queries from x_q (B, Q, C), keys and values
-    from kv (B, K, C), batch item b's queries seeing only batch item b's
-    keys.  ``limits`` is ``AttentionMask.limits`` of a batch of one, or None.
-    ``record(tile, head, scores)``, when given, sees each (tile, head)'s
-    scaled, masked scores before the softmax overwrites them, on the thread
-    that runs the tile; ``head`` is an index, or ``slice(None)`` for all.
+    from kv (B, K, C), batch item b's queries seeing all of batch item b's
+    keys and no others.  ``record(tile, head, scores)``, when given, sees
+    each (tile, head)'s scaled scores before the softmax overwrites them, on
+    the thread that runs the tile; ``head`` is an index, or ``slice(None)``
+    for all.
 
     A tile runs LN1 (in self-attention, ``kv is x_q``, the keys' rows) and
-    Q; per head, or all heads at once, the scores, mask, numerators, P·V and
+    Q; per head, or all heads at once, the scores, numerators, P·V and
     divide into a float64 context, rounded into the tile's output rows; then
     the tail (W_o, the residual, LN2 and the MLP) over the same rows.  The
     form is chosen by ``_whole_groups`` from the shapes alone, and per (batch
@@ -288,12 +241,6 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     whole = _whole_groups(x_q.shape[1], kv.shape[1])
     wo, w1, w2 = (m.astype(np.float64) for m in (w.wo, w.w1, w.w2))
     out = np.empty_like(x_q)
-    if limits is not None:
-        ends, key_frames = limits
-        dead = int(np.count_nonzero(ends < key_frames.min()))
-        if dead:
-            warnings.warn(f"{dead} fully masked query rows; "
-                          "attention contributes nothing for them", MaskedRowWarning)
     wq, wk, wv = (m.astype(np.float64) for m in (w.wq, w.wk, w.wv))
     inv_sqrt_d = 1.0 / np.sqrt(w.channels // w.heads)
     groups = _tiles(*x_q.shape[:2])
@@ -317,14 +264,11 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
         q = _project(q_in, wq, x.shape)
         del q_in
         q *= inv_sqrt_d
-        hidden = None if limits is None else key_frames > ends[queries, None]
         q, k, v, by_head = (_by_head(a, w.heads) for a in (q, k, v, ctx))
         if work is not None:
             work = work[:x.shape[0], :x.shape[1]]
         for h in (slice(None),) if work is None else range(w.heads):
             scores = np.matmul(q[:, h], k[:, h].swapaxes(-1, -2), out=work)
-            if hidden is not None:
-                np.copyto(scores, -np.inf, where=hidden)
             if record is not None:
                 record(tile, h, scores)
             e, denom = softmax_numerators(scores, out=scores)
@@ -365,7 +309,7 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
 
 def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights) -> np.ndarray:
     """Post-softmax probabilities, shape (heads, queries, keys), bitwise the
-    ones the unmasked forward of the same block uses: the block runs, and
+    ones the forward of the same block uses: the block runs, and
     each (tile, head)'s softmax is written into its own rows of the result.
 
     Diagnostic path: materializes every head, so keep inputs desk-scale.
@@ -375,42 +319,32 @@ def attention_probabilities(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights) ->
     def record(tile, head, scores):
         stable_softmax_rows(scores, out=out[head, tile[1]][None])
 
-    _attention_block(x_q[None], kv[None], w, None, record)
+    _attention_block(x_q[None], kv[None], w, record)
     return out
 
 
 def frame_attention(t: TokenTensor, w: BlockWeights) -> TokenTensor:
     """Self-attention within each frame independently; frames never interact."""
     # frames are the batch axis; one array for both roles, so LN1 runs once
-    return t.with_values(_attention_block(t.values, t.values, w, None))
+    return t.with_values(_attention_block(t.values, t.values, w))
 
 
-def dense_global_attention(t: TokenTensor, w: BlockWeights,
-                           mask: AttentionMask = AttentionMask()) -> TokenTensor:
+def dense_global_attention(t: TokenTensor, w: BlockWeights) -> TokenTensor:
     """Self-attention over the concatenated K = S * N token sequence.
 
     This is the exact reference that descriptor attention approximates.
     """
     flat = t.flat()[None]
-    limits = None
-    if mask.chunk_size:
-        frames = t.token_frames()
-        limits = mask.limits(frames, frames)
-    out = _attention_block(flat, flat, w, limits)
+    out = _attention_block(flat, flat, w)
     return t.with_values(out.reshape(t.values.shape))
 
 
-def descriptor_attention(t: TokenTensor, bundle: DescriptorBundle, w: BlockWeights,
-                         mask: AttentionMask = AttentionMask()) -> TokenTensor:
-    """Cross-attention: every full-resolution token queries the descriptor set.
-
-    Masks apply through descriptor provenance frames, so anchors copied from
-    frame f are hidden from queries that may not see frame f yet.
-    """
+def descriptor_attention(t: TokenTensor, bundle: DescriptorBundle, w: BlockWeights
+                         ) -> TokenTensor:
+    """Cross-attention: every full-resolution token queries the descriptor set."""
     if not bundle.count:
         raise ValueError("descriptor_attention got an empty bundle: no keys to attend to")
-    limits = mask.limits(t.token_frames(), bundle.frames) if mask.chunk_size else None
-    out = _attention_block(t.flat()[None], bundle.descriptors[None], w, limits)
+    out = _attention_block(t.flat()[None], bundle.descriptors[None], w)
     return t.with_values(out.reshape(t.values.shape))
 
 
@@ -429,6 +363,6 @@ def attention_score_histogram(t: TokenTensor, w: BlockWeights, mode: str
     edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     counts = []
     x = t.values if mode == "frame" else t.flat()[None]
-    _attention_block(x, x, w, None, lambda tile, head, scores: counts.append(
+    _attention_block(x, x, w, lambda tile, head, scores: counts.append(
         np.histogram(stable_softmax_rows(scores), bins=edges)[0]))
     return sum(counts, np.zeros(HISTOGRAM_BINS, dtype=np.int64)), edges

@@ -11,11 +11,10 @@ A descriptor bundle for a sequence holds, in this fixed order:
 Groups 2-4 are the auxiliary anchors.  They appear only when the caller
 passes key-frame indices (selected once, by ``select_keyframes``), and group 3
 only in the bundle whose frame offset is 0, the one that holds the stream's
-frame 0.  Every descriptor carries provenance: its source frame and its kind.
-Masks read the frame, and streaming retention reads both.  Tokens may
-legitimately appear twice (the first frame contributes both a compressed and a
-verbatim copy); the kind keeps the copies distinguishable and cross-attention
-tolerates duplicates.
+frame 0.  Every descriptor carries provenance, its source frame and its kind,
+and streaming retention reads both.  Tokens may legitimately appear twice (the
+first frame contributes both a compressed and a verbatim copy); the kind keeps
+the copies distinguishable and cross-attention tolerates duplicates.
 
 Every compressor takes a patch grid with leading frame axes, (..., H, W, C)
 to (..., n, C), so ``build_bundle`` compresses all S frames in one call.  Each

@@ -12,12 +12,8 @@ are enabled: only the first chunk's bundle, at frame offset 0, holds them.
 Camera/register and key-frame anchors are chunk-local and are never retained.
 
 Memory grows sublinearly: per layer, compressed tokens number exactly
-ceil(frames_seen / p) * floor(H/r) * floor(W/r).  With p = 1 and anchors off
-the retained key set matches what a block-causal offline pass over the same
-chunk boundaries would expose, which is what makes the offline stack an
-oracle for this module.  With anchors on it does not: the stream keeps
-camera/register and key-frame anchors chunk-local, while the masked offline
-bundle shows them across blocks.
+ceil(frames_seen / p) * floor(H/r) * floor(W/r).  Causality holds by
+construction: a chunk's keys hold only frames it has seen.
 """
 
 from __future__ import annotations
@@ -46,9 +42,6 @@ class StreamConfig:
             raise ValueError(f"retain rate must be >= 1, got {self.retain_rate}")
         if self.base.global_mode != "descriptor":
             raise ValueError("streaming runs the descriptor global mode only")
-        if self.base.mask.chunk_size:
-            raise ValueError("streaming enforces causality by construction; "
-                             "configure the base without a mask")
 
 
 @dataclass(frozen=True)

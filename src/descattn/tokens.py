@@ -97,10 +97,6 @@ class TokenTensor:
         """The (K, C) global sequence view (frame-major, token order preserved)."""
         return self.values.reshape(self.total_tokens, self.channels)
 
-    def token_frames(self) -> np.ndarray:
-        """Frame index of each token in the flattened global sequence."""
-        return np.repeat(np.arange(self.frames), self.tokens_per_frame)
-
     def with_values(self, values: np.ndarray) -> "TokenTensor":
         return TokenTensor(self.layout, values)
 

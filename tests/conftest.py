@@ -1,11 +1,28 @@
-"""Shared harness for the peak tests: traced allocation peaks and frequent
-thread switches."""
+"""Shared harness: traced allocation peaks and frequent thread switches for
+the peak tests, and a read-only loader for the benchmark's modules."""
 
 import contextlib
+import importlib.util
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+
+
+def load_benchmark_module(name: str):
+    """``benchmark/<name>.py`` as a new module, loaded without writing bytecode
+    beside it, so the tests leave the benchmark's directory as they found it."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARK / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
 def _traced_peak(call) -> int:

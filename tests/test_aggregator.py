@@ -1,4 +1,5 @@
-"""Alternating-attention stack: bit pins, structure, weight determinism."""
+"""Alternating-attention stack: bit pins (the stack's and one stream's),
+structure, weight determinism."""
 
 import hashlib
 import os
@@ -14,6 +15,7 @@ from descattn.attention import (dense_global_attention, descriptor_attention, fr
                                 init_block_weights)
 from descattn.compression import (CompressionMethod, KeyframeSelector, build_bundle,
                                   select_keyframes)
+from descattn.streaming import StreamConfig, run_stream
 from descattn.tokens import FrameLayout, generate_synthetic
 
 PATCH_ONLY = FrameLayout(h=8, w=8, n_camera=0, n_register=0, channels=32)
@@ -63,6 +65,23 @@ class TestTiledPins:
         assert hashlib.sha256(out.values.tobytes()).hexdigest()[:16] == self.PINS[mode]
 
 
+class TestStreamPin:
+    # S=12 on the desk grid in three chunks of 4, every 2nd frame retained,
+    # anchors on: chunks 1 and 2 attend to the retained descriptors of frames
+    # 0, 2, ... and to the persisted first frame.  Each chunk of the frozen
+    # output lies within 1.3e-7 (relative) of acceptance criterion 4's float64
+    # stream reference.
+    SHA256_16 = "16e7c14791abd715"
+
+    def test_multi_chunk_stream_is_pinned(self):
+        base = AggregatorConfig(layout=DESK, layers=2, heads=4, global_mode="descriptor",
+                                method=CompressionMethod("bilinear", 4),
+                                selector=KeyframeSelector(interval=3), seed=13)
+        cfg = StreamConfig(base=base, chunk_size=4, retain_rate=2)
+        out, _ = run_stream(generate_synthetic(12, DESK, 14), cfg)
+        assert hashlib.sha256(out.values.tobytes()).hexdigest()[:16] == self.SHA256_16
+
+
 class TestPinsUnderSimdLevels:
     # The float32 pins must not depend on numpy's SIMD dispatch.  Each level
     # reruns them in a fresh interpreter with numpy's dispatched targets
@@ -71,7 +90,8 @@ class TestPinsUnderSimdLevels:
     # values, can move with the dispatch of tanh and exp, so nothing else is
     # pinned across levels.
     PINNED = ["tests/test_aggregator.py::TestModeEquivalence::test_golden_checksum",
-              "tests/test_aggregator.py::TestTiledPins::test_multi_tile_forward_is_pinned"]
+              "tests/test_aggregator.py::TestTiledPins::test_multi_tile_forward_is_pinned",
+              "tests/test_aggregator.py::TestStreamPin::test_multi_chunk_stream_is_pinned"]
 
     @pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR",
                                           "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"])
@@ -87,7 +107,7 @@ class TestPinsUnderSimdLevels:
         done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                                *self.PINNED],
                               cwd=root, env=env, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0 and "3 passed" in done.stdout, done.stdout + done.stderr
+        assert done.returncode == 0 and "4 passed" in done.stdout, done.stdout + done.stderr
 
 
 class TestStackStructure:

@@ -1,4 +1,4 @@
-"""Attention kernels: hand-computed cases, brute-force oracles, masks, the
+"""Attention kernels: hand-computed cases, brute-force oracles, the
 diagnostics that run the forward's block, the score workspace, query tiles,
 workers, array liveness and the score histogram."""
 
@@ -17,10 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descattn import attention
-from descattn.attention import (AttentionMask, BlockWeights, MaskedRowWarning,
-                                attention_probabilities, attention_score_histogram,
-                                dense_global_attention, descriptor_attention,
-                                frame_attention, init_block_weights)
+from descattn.attention import (BlockWeights, attention_probabilities,
+                                attention_score_histogram, dense_global_attention,
+                                descriptor_attention, frame_attention, init_block_weights)
 from descattn.compression import (CompressionMethod, DescriptorBundle, KeyframeSelector,
                                   build_bundle, select_keyframes)
 from descattn.kernels import layer_norm, mlp, rng, softmax_numerators
@@ -134,44 +133,6 @@ class TestFrameGlobalConsistency:
         assert np.array_equal(permuted.values, out.values[perm])
 
 
-class TestMasks:
-    def test_mask_none_sees_everything(self):
-        t = generate_synthetic(2, DESK, 8)
-        w = init_block_weights(2, 32, 4)
-        a = dense_global_attention(t, w, AttentionMask())
-        b = dense_global_attention(t, w)
-        assert np.array_equal(a.values, b.values)
-
-    def test_chunked_mask_boundaries(self):
-        mask = AttentionMask(4)
-        ends, _ = mask.limits(np.array([0, 3, 4, 7, 8, 11]), np.arange(12))
-        assert list(ends[:4]) == [3, 3, 7, 7]
-        assert ends[4] > 10 and ends[5] > 10
-
-    def test_bad_cuts_rejected(self):
-        with pytest.raises(ValueError):
-            AttentionMask(-1)
-        with pytest.raises(ValueError):
-            AttentionMask(2.5)
-
-    def test_fully_masked_row_warns_and_passes_residual(self):
-        t = generate_synthetic(2, DESK, 9)
-        sub = TokenTensor(DESK, t.values[1:])
-        bundle = build_bundle(sub, CompressionMethod("bilinear", 4), frame_offset=1)
-        with pytest.warns(MaskedRowWarning):
-            out = descriptor_attention(t, bundle, init_block_weights(1, 32, 4),
-                                       AttentionMask(1))
-        assert np.all(np.isfinite(out.values))
-
-    def test_negative_provenance_rejected_under_mask(self):
-        t = generate_synthetic(2, DESK, 9)
-        bundle = build_bundle(t, CompressionMethod("bilinear", 4))
-        bad = replace(bundle, frames=bundle.frames - 5)
-        with pytest.raises(ValueError, match="provenance"):
-            descriptor_attention(t, bad, init_block_weights(1, 32, 4),
-                                 AttentionMask(1))
-
-
 class TestDescriptorOracle:
     def test_duplication_invariance_three_key_direct_evaluation(self):
         # softmax over duplicated keys halves every weight and sums each value
@@ -208,10 +169,8 @@ class TestDescriptorOracle:
 
     def test_empty_bundle_rejected(self):
         t = generate_synthetic(2, DESK, 1)
-        w = init_block_weights(1, 32, 4)
-        for mask in (AttentionMask(), AttentionMask(1)):
-            with pytest.raises(ValueError, match="empty bundle"):
-                descriptor_attention(t, DescriptorBundle.empty(32), w, mask)
+        with pytest.raises(ValueError, match="empty bundle"):
+            descriptor_attention(t, DescriptorBundle.empty(32), init_block_weights(1, 32, 4))
 
 
 class TestOneScorePath:
@@ -342,8 +301,8 @@ class TestQueryTiles:
                               select_keyframes(t, KeyframeSelector(interval=4)))
         kv = bundle.descriptors[None]
         w = init_block_weights(33, 32, 4, dtype)
-        whole = attention._attention_block(x, kv, w, None)
-        parts = [attention._attention_block(x[:, lo:lo + tile], kv, w, None)
+        whole = attention._attention_block(x, kv, w)
+        parts = [attention._attention_block(x[:, lo:lo + tile], kv, w)
                  for lo in range(0, q, tile)]
         assert len(parts) == 4
         assert np.array_equal(whole, np.concatenate(parts, axis=1))
@@ -377,17 +336,6 @@ class TestQueryTiles:
             monkeypatch.setattr(attention, "_WORKERS", workers)
             out = dense_global_attention(t, w)
             np.testing.assert_allclose(out.flat(), expect, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("chunk", [3, 2], ids=["cuts0", "cuts1"])
-    def test_masked_multi_tile_equals_unmasked_prefix(self, chunk):
-        # tile edges (every 128 rows, 1.9 frames) fall inside mask blocks
-        t = generate_synthetic(8, DESK, 36)
-        w = init_block_weights(37, 32, 4)
-        out = dense_global_attention(t, w, AttentionMask(chunk))
-        for a in range(0, t.frames, chunk):
-            e = min(a + chunk, t.frames)
-            prefix = dense_global_attention(TokenTensor(DESK, t.values[:e]), w)
-            assert np.max(np.abs(out.values[a:e] - prefix.values[a:e])) <= 1e-6
 
     def test_dense_peak_grows_linearly_in_keys(self, monkeypatch, traced_peak):
         # the W workspaces total (1, <= QUERY_TILE, K), so doubling K adds a

@@ -2,14 +2,12 @@
 anchor and cache records.  The cache law, causality and c >= S offline
 equivalence over generated cases are ``descattn verify`` checks."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from descattn import streaming
 from descattn.aggregator import AggregatorConfig, init_weights
-from descattn.attention import AttentionMask, descriptor_attention
+from descattn.attention import descriptor_attention
 from descattn.compression import CompressionMethod, DescriptorKind, KeyframeSelector
 from descattn.streaming import MemoryCache, StreamConfig, cache_report, run_stream, step
 from descattn.tokens import FrameLayout, TokenTensor, generate_synthetic
@@ -97,9 +95,9 @@ class TestMemoryLaw:
         # first frame as a second first-frame group
         keys_seen = []
 
-        def recording(t, keys, w, mask=AttentionMask()):
+        def recording(t, keys, w):
             keys_seen.append(keys)
-            return descriptor_attention(t, keys, w, mask)
+            return descriptor_attention(t, keys, w)
 
         monkeypatch.setattr(streaming, "descriptor_attention", recording)
         base = desc_base(include_aux=True, ratio=2, layers=2, seed=23)
@@ -144,11 +142,6 @@ class TestConfigValidation:
     def test_dense_base_rejected(self):
         with pytest.raises(ValueError, match="descriptor"):
             StreamConfig(base=AggregatorConfig(layout=DESK, global_mode="dense"))
-
-    def test_masked_base_rejected(self):
-        with pytest.raises(ValueError, match="mask"):
-            StreamConfig(base=replace(desc_base(),
-                                      mask=AttentionMask(1)))
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):

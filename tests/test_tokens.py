@@ -85,10 +85,3 @@ class TestSplitGrid:
                 offset = DESK.n_special + i * DESK.w + j
                 assert np.array_equal(grid[f, i, j], t.values[f, offset])
 
-
-def test_token_frames_map():
-    t = generate_synthetic(3, DESK, 0)
-    frames = t.token_frames()
-    n = DESK.tokens_per_frame
-    assert frames.shape == (3 * n,)
-    assert frames[0] == 0 and frames[n] == 1 and frames[-1] == 2

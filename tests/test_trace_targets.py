@@ -4,30 +4,13 @@ looked up.
 ``benchmark/spans.py`` names its targets as (owner, attribute) strings and
 ``Tracer.installed`` fetches each with ``vars(owner)[attr]``, so a rename or a
 move in ``src/`` would only surface when ``benchmark/run.py --trace 1`` runs.
-The module is loaded here read-only, without writing bytecode beside it.
+The module is loaded read-only, without writing bytecode beside it.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
+from conftest import load_benchmark_module
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
-
-
-spans = _load_spans()
+spans = load_benchmark_module("spans")
 
 
 @pytest.mark.parametrize("owner,attr", [(owner, attr) for owner, attr, _ in spans.WRAPPED],
