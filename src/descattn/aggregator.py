@@ -89,6 +89,17 @@ def check_dtype(t: TokenTensor, cfg: AggregatorConfig) -> None:
                          f"{np.dtype(cfg.dtype)}")
 
 
+def check_weights(weights: list[LayerWeights], cfg: AggregatorConfig) -> None:
+    """Weights must have the configured depth, and every block its head count."""
+    if len(weights) != cfg.layers:
+        raise ValueError(f"weights have {len(weights)} layers, config has {cfg.layers}")
+    for layer, lw in enumerate(weights):
+        for block in (lw.frame, lw.global_):
+            if block.heads != cfg.heads:
+                raise ValueError(f"layer {layer} weights have {block.heads} heads, "
+                                 f"config has {cfg.heads}")
+
+
 def forward_offline(t: TokenTensor, cfg: AggregatorConfig,
                     weights: list[LayerWeights] | None = None,
                     layer_outputs: list[TokenTensor] | None = None) -> TokenTensor:
@@ -102,6 +113,7 @@ def forward_offline(t: TokenTensor, cfg: AggregatorConfig,
     check_dtype(t, cfg)
     if weights is None:
         weights = init_weights(cfg)
+    check_weights(weights, cfg)
     keyframes = None
     if cfg.global_mode == "descriptor" and cfg.include_aux:
         keyframes = select_keyframes(t, cfg.selector)

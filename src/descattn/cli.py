@@ -10,14 +10,15 @@ Exit codes: 0 success, 2 usage error, 3 verification failure, 4 I/O error.
 Flags may also come from a flat ``key=value`` config file (``--config``);
 explicit command-line flags override file values and an unknown key is a
 usage error.  Each run subcommand takes only the settings it reads
-(``_READS``): ``flops`` has no ``--retain``, ``--chunk``, ``--selector`` or
-``--precision``, and ``histogram`` only the token, head, seed and precision
-settings; any other flag or key is a usage error too.  ``verify`` takes
-``--seed`` alone.  For ``bench``, ``--frames``, ``--ratio``, ``--retain`` and
-``--chunk`` accept comma-separated lists and it runs the cartesian product,
-each (configuration, mode) once.  Every sweep CSV row carries the complete
-configuration needed to reproduce it, plus a checksum of the output tokens.
-``bench`` times nothing: wall time and memory are measured by ``benchmark/``.
+(``_READS``): ``flops`` has no ``--retain``, ``--chunk``, ``--selector``,
+``--precision`` or ``--seed``, and ``histogram`` only the token, head, seed
+and precision settings; any other flag or key is a usage error too.
+``verify`` takes ``--seed`` alone.  For ``bench``, ``--frames``, ``--ratio``,
+``--retain`` and ``--chunk`` accept comma-separated lists and it runs the
+cartesian product, each (configuration, mode) once.  Every sweep CSV row
+carries the complete configuration needed to reproduce it, plus a checksum
+of the output tokens.  ``bench`` times nothing: wall time and memory are
+measured by ``benchmark/``.
 
 This is the one module that writes files, so every CSV layout lives here as
 a column tuple: ``SWEEP_COLUMNS``, ``FLOPS_COLUMNS``, ``CACHE_COLUMNS`` and
@@ -137,7 +138,7 @@ _CONFIG_COLUMNS = tuple(COLUMN_NAMES.get(f.name, f.name) for f in fields(RunSpec
 _RUN_FIELDS = tuple(f.name for f in fields(RunSpec))
 _READS = {"bench": _RUN_FIELDS,
           "flops": tuple(n for n in _RUN_FIELDS
-                         if n not in ("retain", "chunk", "selector", "precision")),
+                         if n not in ("retain", "chunk", "selector", "precision", "seed")),
           "stream": _RUN_FIELDS,
           "histogram": ("frames", "channels", "heads", "grid", "camera", "register",
                         "seed", "precision")}

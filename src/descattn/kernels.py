@@ -58,11 +58,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def stable_softmax_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax, shifted by the row max so huge logits cannot overflow.
 
-    Works along the last axis of any array.  ``-inf`` entries are treated as
-    excluded (zero weight); a row that is entirely ``-inf`` comes back as all
-    zeros, which callers that use masking must detect themselves.  The guards
-    are ``softmax_numerators``': a row max that is not finite shifts by 0,
-    and a denominator that is not ``> 0`` (0 or NaN) divides by 1.
+    Works along the last axis of any array.  Each row needs a finite
+    maximum; ``-inf`` entries in such a row weigh zero.  A row whose maximum
+    is ``±inf`` or NaN (an all ``-inf`` row, say) comes back NaN throughout;
+    no caller in the package produces one.
 
     This is ``softmax_numerators`` followed by ``out /= denom``, so its bits
     are those numerators divided by those denominators, and the attention
@@ -85,10 +84,11 @@ def softmax_numerators(m: np.ndarray, out: np.ndarray | None = None
 
     Returns the shifted exponentials in ``out`` (a float64 array of ``m``'s
     shape that may be ``m`` itself; without it a fresh float64 array is used
-    and ``m`` is left unchanged) and the float64 (..., 1) row sums.  A row max
-    that is not finite shifts by 0, and a sum that is not ``> 0`` (0 or NaN)
-    is replaced by 1, so an all ``-inf`` row gives zero numerators over 1.
-    Every softmax in the package runs this one function; ``m``'s softmax is
+    and ``m`` is left unchanged) and the float64 (..., 1) row sums.  Each row
+    needs a finite maximum: its largest numerator is then ``exp(0) = 1``, so
+    its sum is at least 1, and ``-inf`` entries give zero numerators.  A row
+    whose maximum is ``+inf``, ``-inf`` or NaN has a NaN sum.  Every
+    softmax in the package runs this one function; ``m``'s softmax is
     ``out / sum``, bitwise.
 
     The order of operations, and so every bit, is that of
@@ -98,8 +98,6 @@ def softmax_numerators(m: np.ndarray, out: np.ndarray | None = None
     * the reductions call ``np.maximum.reduce`` and ``np.add.reduce``
       directly; ``np.max`` and ``np.sum`` add a Python wrapper around the
       same ufunc reduce;
-    * the guards are masked assignments on the (rows, 1) max and sum, not
-      ``np.where`` copies;
     * on rows longer than ``_UNBUFFERED_ROW`` keys, the shift and ``exp``
       run with numpy's ufunc buffer size set to 16 (default 8192).  While a
       row fits in the default buffer, numpy copies the (rows, 1) operand of
@@ -114,27 +112,17 @@ def softmax_numerators(m: np.ndarray, out: np.ndarray | None = None
       median 56-76 µs there against 75-105 µs at size 16, and the row max
       46-55 µs against 54-79 µs (two runs of 30 x 50 calls, one thread,
       2-core Intel Xeon, numpy 2.4).  The buffer size is set inside
-      ``np.errstate()``, which scopes it to the current context, and is also
-      restored in a ``finally``, so no numpy state leaks even when a step
-      raises.
+      ``np.errstate()``, which scopes it to the current context and restores
+      it on exit, also when a step raises, so no numpy state leaks.
     """
     x = np.asarray(m).astype(np.float64, copy=False)
     rowmax = np.maximum.reduce(x, axis=-1, keepdims=True)
-    rowmax[~np.isfinite(rowmax)] = 0.0
-    if x.shape[-1] <= _UNBUFFERED_ROW:
+    with np.errstate():
+        if x.shape[-1] > _UNBUFFERED_ROW:
+            np.setbufsize(16)
         out = np.subtract(x, rowmax, out=out)
         np.exp(out, out=out)
-    else:
-        with np.errstate():
-            bufsize = np.setbufsize(16)
-            try:
-                out = np.subtract(x, rowmax, out=out)
-                np.exp(out, out=out)
-            finally:
-                np.setbufsize(bufsize)
-    denom = np.add.reduce(out, axis=-1, keepdims=True)
-    denom[~(denom > 0.0)] = 1.0
-    return out, denom
+    return out, np.add.reduce(out, axis=-1, keepdims=True)
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -290,8 +278,6 @@ def resample_nearest(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """
     grid = np.asarray(grid)
     h, w, _ = _check_resample_args(grid, out_h, out_w)
-    if out_h == h and out_w == w:
-        return grid.copy()
     # round-half-down: ceil(c - 0.5)
     iy = np.clip(np.ceil(half_pixel_centers(h, out_h) - 0.5).astype(np.intp), 0, h - 1)
     ix = np.clip(np.ceil(half_pixel_centers(w, out_w) - 0.5).astype(np.intp), 0, w - 1)

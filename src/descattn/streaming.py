@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregator import AggregatorConfig, LayerWeights, check_dtype, init_weights
+from .aggregator import AggregatorConfig, LayerWeights, check_dtype, check_weights, init_weights
 from .attention import descriptor_attention, frame_attention
 from .compression import (DescriptorBundle, DescriptorKind, build_bundle,
                           select_keyframes)
@@ -83,6 +83,7 @@ def step(chunk: TokenTensor, cache: MemoryCache, cfg: StreamConfig,
     if chunk.layout != cache.layout or len(cache.layers) != base.layers:
         raise ValueError("cache layout/depth inconsistent with the stream config")
     check_dtype(chunk, base)
+    check_weights(weights, base)
 
     offset = cache.frames_seen
     keyframes = None

@@ -67,8 +67,7 @@ class TokenTensor:
                 f"(N={self.layout.tokens_per_frame}, C={self.layout.channels})")
         if s < 1:
             raise ValueError("a sequence needs at least one frame")
-        if not v.flags.c_contiguous:
-            v = np.ascontiguousarray(v)
+        v = np.ascontiguousarray(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -1,12 +1,15 @@
 """Shared harness: traced allocation peaks and frequent thread switches for
-the peak tests, and a read-only loader for the benchmark's modules."""
+the peak tests, a read-only loader for the benchmark's modules, and block
+weights in the form its float64 reference takes them."""
 
 import contextlib
 import importlib.util
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
@@ -23,6 +26,13 @@ def load_benchmark_module(name: str):
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+def block_weight_dict(bw) -> dict:
+    """A ``BlockWeights`` as ``benchmark/reference.py`` takes it: each array
+    field by name, in float64; the head count is passed on its own."""
+    return {f.name: np.asarray(getattr(bw, f.name), dtype=np.float64)
+            for f in fields(bw) if f.name != "heads"}
 
 
 def _traced_peak(call) -> int:

@@ -24,10 +24,9 @@ tolerances, and each unit test pins its own.
 """
 
 import time
-from dataclasses import fields
 
 import numpy as np
-from conftest import load_benchmark_module
+from conftest import block_weight_dict, load_benchmark_module
 
 import descattn as d
 
@@ -115,10 +114,7 @@ def test_criterion_3_memory_claim():
 
 def _float64_layers(weights: list[d.LayerWeights]) -> list[tuple[dict, dict]]:
     """Each layer's (frame, global) block weights as the reference takes them."""
-    def as_dict(bw):
-        return {f.name: np.asarray(getattr(bw, f.name), dtype=np.float64)
-                for f in fields(bw) if f.name != "heads"}
-    return [(as_dict(lw.frame), as_dict(lw.global_)) for lw in weights]
+    return [(block_weight_dict(lw.frame), block_weight_dict(lw.global_)) for lw in weights]
 
 
 def _stream_reference(tokens, layers, heads, chunk, retain, aux, keyframes):

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,18 @@ class TestStackStructure:
         t = generate_synthetic(2, PATCH_ONLY, 0, dtype=np.float64)
         with pytest.raises(ValueError, match="float64.*float32"):
             forward_offline(t, cfg)
+
+    @pytest.mark.parametrize("mode", ["dense", "descriptor"])
+    def test_weights_that_disagree_with_the_config_are_rejected(self, mode):
+        cfg = desc_cfg(layout=DESK, heads=4).with_mode(mode)
+        t = generate_synthetic(2, DESK, 0)
+        w = init_weights(cfg)
+        with pytest.raises(ValueError, match="weights have 1 layers, config has 2"):
+            forward_offline(t, cfg, w[:1])
+        with pytest.raises(ValueError, match="weights have 2 layers, config has 1"):
+            forward_offline(t, replace(cfg, layers=1), w)
+        with pytest.raises(ValueError, match="layer 0 weights have 4 heads, config has 8"):
+            forward_offline(t, replace(cfg, heads=8), w)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="divisible"):

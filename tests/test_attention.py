@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import block_weight_dict, load_benchmark_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from descattn.kernels import layer_norm, mlp, rng, softmax_numerators
 from descattn.tokens import FrameLayout, TokenTensor, generate_synthetic
 
 DESK = FrameLayout(h=8, w=8, n_camera=1, n_register=4, channels=32)
+reference = load_benchmark_module("reference")
 
 
 def identity_weights(channels: int, hidden_zero: bool = True) -> BlockWeights:
@@ -40,36 +42,11 @@ def identity_weights(channels: int, hidden_zero: bool = True) -> BlockWeights:
         ln2_gamma=np.ones(c, np.float32), ln2_beta=np.zeros(c, np.float32))
 
 
-def block_oracle(x, w, kv=None, eps=1e-6):
-    """Independent float64 re-derivation of one pre-norm attention block."""
-    x = x.astype(np.float64)
-    kv = x if kv is None else kv.astype(np.float64)
-
-    def ln(v, g, b):
-        mu = v.mean(-1, keepdims=True)
-        var = ((v - mu) ** 2).mean(-1, keepdims=True)
-        return (v - mu) / np.sqrt(var + eps) * g + b
-
-    def gelu(v):
-        return 0.5 * v * (1 + np.tanh(np.sqrt(2 / np.pi) * (v + 0.044715 * v ** 3)))
-
-    c = x.shape[1]
-    d = c // w.heads
-    q_in = ln(x, w.ln1_gamma, w.ln1_beta)
-    kv_in = ln(kv, w.ln1_gamma, w.ln1_beta)
-    ctx = np.zeros_like(x)
-    for h in range(w.heads):
-        sl = slice(h * d, (h + 1) * d)
-        q = q_in @ w.wq.astype(np.float64)
-        k = kv_in @ w.wk.astype(np.float64)
-        v = kv_in @ w.wv.astype(np.float64)
-        scores = q[:, sl] @ k[:, sl].T / math.sqrt(d)
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        probs = e / e.sum(axis=1, keepdims=True)
-        ctx[:, sl] = probs @ v[:, sl]
-    y = x + ctx @ w.wo.astype(np.float64)
-    h_in = ln(y, w.ln2_gamma, w.ln2_beta)
-    return y + gelu(h_in @ w.w1.astype(np.float64) + w.b1) @ w.w2.astype(np.float64) + w.b2
+def block_oracle(x, w):
+    """One pre-norm block over (Q, C) tokens, self-attending, in float64:
+    ``benchmark/reference.py``'s block, which shares no code with descattn."""
+    x = x.astype(np.float64)[None]
+    return reference.block(x, x, block_weight_dict(w), w.heads)[0]
 
 
 class TestHandComputedCases:

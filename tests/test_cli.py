@@ -12,10 +12,12 @@ from descattn.cli import (SWEEP_COLUMNS, EXIT_IO, EXIT_OK, EXIT_USAGE,
                           EXIT_VERIFY, RunSpec, _build_parser, main, run_from_row,
                           sweep)
 
-# histogram reads no compression, stream or layer setting
-TINY_HISTOGRAM = ["--frames", "2", "--grid", "4x4", "--channels", "16", "--heads", "2",
-                  "--seed", "3"]
-TINY = [*TINY_HISTOGRAM, "--ratio", "2", "--layers", "1"]
+# histogram reads no compression, stream or layer setting, and flops no seed
+TOKENS = ["--frames", "2", "--grid", "4x4", "--channels", "16", "--heads", "2"]
+TINY_HISTOGRAM = [*TOKENS, "--seed", "3"]
+TINY_FLOPS = [*TOKENS, "--ratio", "2", "--layers", "1"]
+TINY = [*TINY_FLOPS, "--seed", "3"]
+TINY_OF = {"flops": TINY_FLOPS, "histogram": TINY_HISTOGRAM}
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -45,7 +47,7 @@ class TestFlops:
         assert {r["mode"] for r in rows} == {"dense", "descriptor"}
 
     def test_markdown_table_written(self, tmp_path):
-        code = main(["flops", *TINY, "--out", str(tmp_path)])
+        code = main(["flops", *TINY_FLOPS, "--out", str(tmp_path)])
         assert code == EXIT_OK
         text = (tmp_path / "flops.md").read_text()
         assert text.startswith("| Metric | Mode |")
@@ -159,7 +161,8 @@ class TestStreamAndHistogram:
 
 class TestOutputPins:
     """sha256 of each report file, and of ``flops``'s standard output, for
-    ``TINY``: a change to a CSV layout or to the numbers behind it shows here."""
+    each command's tiny argv: a change to a CSV layout or to the numbers
+    behind it shows here."""
 
     @pytest.mark.parametrize("command,name,digest", [
         ("flops", "flops.csv",
@@ -177,7 +180,7 @@ class TestOutputPins:
     ], ids=["flops", "flops_md", "flops_stdout", "cache_report", "histogram_frame",
             "histogram_global"])
     def test_report_bytes_are_pinned(self, command, name, digest, tmp_path, capsys):
-        tiny = TINY_HISTOGRAM if command == "histogram" else TINY
+        tiny = TINY_OF.get(command, TINY)
         assert main([command, *tiny, "--out", str(tmp_path)]) == EXIT_OK
         data = (capsys.readouterr().out.encode() if name == "stdout"
                 else (tmp_path / name).read_bytes())
@@ -185,7 +188,7 @@ class TestOutputPins:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("command", ["verify", "flops", "bench", "stream", "histogram"])
+    @pytest.mark.parametrize("command", ["verify", "bench", "stream", "histogram"])
     def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):
         out = [] if command == "verify" else ["--out", str(tmp_path)]
         assert main([command, "--seed", "-1", *out]) == EXIT_USAGE
@@ -198,18 +201,18 @@ class TestExitCodes:
         assert main(["bench", "--bogus"]) == EXIT_USAGE
         # flops always writes both of its tables, so no subcommand takes --format
         for command in ("bench", "flops", "stream", "histogram"):
-            tiny = TINY_HISTOGRAM if command == "histogram" else TINY
-            assert main([command, *tiny, "--format", "md",
+            assert main([command, *TINY_OF.get(command, TINY), "--format", "md",
                          "--out", str(tmp_path)]) == EXIT_USAGE, command
 
     def test_setting_the_command_does_not_read_is_usage_error(self, tmp_path, capsys):
-        # flops reads no stream, selector or precision setting, histogram only
-        # the token, head, seed and precision settings, and verify only its
-        # seed: the others are unknown flags and keys
+        # flops reads no stream, selector, precision or seed setting,
+        # histogram only the token, head, seed and precision settings, and
+        # verify only its seed: the others are unknown flags and keys
         cfg, out = tmp_path / "run.cfg", tmp_path / "out"
         for command, key, value in (("flops", "chunk", "0"), ("flops", "retain", "0"),
                                     ("flops", "precision", "f64"),
                                     ("flops", "selector", "random"),
+                                    ("flops", "seed", "-1"),
                                     ("histogram", "ratio", "99"), ("histogram", "layers", "0"),
                                     ("histogram", "interval", "0"),
                                     ("histogram", "method", "topk_norm")):
@@ -247,7 +250,7 @@ class TestExitCodes:
     def test_unwritable_out_dir_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")
-        code = main(["flops", *TINY, "--out", str(blocker / "sub")])
+        code = main(["flops", *TINY_FLOPS, "--out", str(blocker / "sub")])
         assert code == EXIT_IO
 
     def test_help_exits_cleanly(self):

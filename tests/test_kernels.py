@@ -13,13 +13,9 @@ from descattn.kernels import (ShapeError, gelu, half_pixel_centers, layer_norm,
 def softmax_oracle(m):
     """The softmax body before the unbuffered long-row path, kept as the bit oracle."""
     x = m.astype(np.float64)
-    rowmax = np.max(x, axis=-1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    out = np.subtract(x, rowmax)
+    out = np.subtract(x, np.max(x, axis=-1, keepdims=True))
     np.exp(out, out=out)
-    denom = np.sum(out, axis=-1, keepdims=True)
-    denom = np.where(denom > 0.0, denom, 1.0)
-    out /= denom
+    out /= np.sum(out, axis=-1, keepdims=True)
     return out.astype(m.dtype, copy=False)
 
 
@@ -84,25 +80,31 @@ class TestSoftmax:
         p = stable_softmax_rows(x)
         assert np.array_equal(np.argsort(x, axis=-1), np.argsort(p, axis=-1))
 
-    def test_all_masked_row_is_zero(self):
-        p = stable_softmax_rows(np.array([[-np.inf, -np.inf]]))
-        assert np.array_equal(p, [[0.0, 0.0]])
-        # zero numerators over a guarded denominator of 1
-        e, denom = softmax_numerators(np.array([[-np.inf, -np.inf], [0.0, 0.0]]))
-        assert np.array_equal(e, [[0.0, 0.0], [1.0, 1.0]])
-        assert np.array_equal(denom, [[1.0], [2.0]])
+    @pytest.mark.parametrize("top", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("keys", [8, 300])
+    def test_row_without_a_finite_max_is_not_finite(self, top, keys):
+        # a row needs a finite max; with +inf, NaN or only -inf keys its sum
+        # is NaN and so is its softmax, while the finite row beside it is kept
+        m = rng(17).standard_normal((2, keys))
+        m[0, 3] = top
+        if top == -np.inf:
+            m[0] = -np.inf
+        with np.errstate(invalid="ignore"):
+            p = stable_softmax_rows(m)
+            e, denom = softmax_numerators(m)
+        assert np.all(np.isnan(p[0])) and np.isnan(denom[0, 0])
+        assert not np.all(np.isfinite(e[0]))
+        assert same_bits(p[1:], stable_softmax_rows(m[1:]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_is_bitwise(self, dtype):
         gen = rng(8)
         m = (gen.standard_normal((3, 5, 40)) * 30).astype(dtype)
         m[gen.random(m.shape) < 0.25] = -np.inf
-        m[1, 2] = -np.inf
-        m[2, :] = -np.inf
         before = m.copy()
         expect = stable_softmax_rows(m)
         assert np.array_equal(m, before)  # without out=, the input is untouched
-        assert expect.dtype == dtype and np.all(expect[2] == 0.0)
+        assert expect.dtype == dtype
         # the float64 workspace the attention path hands in as both m and out
         work = m.astype(np.float64)
         got = stable_softmax_rows(work, out=work)
@@ -117,34 +119,24 @@ class TestSoftmax:
         gen = rng(keys)
         m = (gen.standard_normal((2, 7, keys)) * 20).astype(dtype)
         m[gen.random(m.shape) < 0.2] = -np.inf
-        m[0, 0] = -np.inf                                 # every key masked
         m[0, 1, ::3] = -np.inf
-        m[1, 0, 5] = np.inf                               # shifts by 0, then inf - inf
-        m[1, 1, :2] = np.inf
-        m[1, 2, 7] = np.nan                               # NaN max and NaN denominator
         m[1, 3, 1] = np.finfo(dtype).max
         before = m.copy()
-        with np.errstate(invalid="ignore"):
-            expect = softmax_oracle(m)
-            assert same_bits(stable_softmax_rows(m), expect)
-            assert same_bits(m, before)
-            # the in-place path the attention workspace takes
-            work = m.astype(np.float64)
-            got = stable_softmax_rows(work, out=work)
-            # the attention forward's numerators and denominators
-            e, denom = softmax_numerators(m)
-            assert same_bits(m, before)
-            assert same_bits((e / denom).astype(dtype), expect)
+        expect = softmax_oracle(m)
+        assert same_bits(stable_softmax_rows(m), expect)
+        assert same_bits(m, before)
+        # the in-place path the attention workspace takes
+        work = m.astype(np.float64)
+        got = stable_softmax_rows(work, out=work)
         assert got is work
         assert same_bits(got.astype(dtype), expect)
-        # the guards: an all -inf row is zeros; a +inf max shifts by 0, so the
-        # row is NaN at its +inf keys and 0 elsewhere; a NaN max shifts by 0 and
-        # a NaN denominator divides by 1, so that row is exp(x) itself
-        assert np.all(expect[0, 0] == 0.0)
-        assert np.array_equal(np.isnan(expect[1, 0]), m[1, 0] == np.inf)
-        assert np.all(expect[1, 0][m[1, 0] != np.inf] == 0.0)
-        with np.errstate(over="ignore"):
-            assert same_bits(expect[1, 2], np.exp(m[1, 2].astype(np.float64)).astype(dtype))
+        # the attention forward's numerators and denominators
+        e, denom = softmax_numerators(m)
+        assert same_bits(m, before)
+        assert same_bits((e / denom).astype(dtype), expect)
+        # every row has a finite max, whose numerator is exp(0) = 1
+        assert np.all(np.max(e, axis=-1) == 1.0)
+        assert np.all(denom >= 1.0)
 
     @pytest.mark.parametrize("keys", [8, 300])
     def test_buffer_size_is_restored(self, keys):

@@ -2,6 +2,8 @@
 anchor and cache records.  The cache law, causality and c >= S offline
 equivalence over generated cases are ``descattn verify`` checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,16 @@ class TestStep:
         t = generate_synthetic(2, DESK, 0, dtype=np.float64)
         with pytest.raises(ValueError, match="float64.*float32"):
             step(t, MemoryCache.empty(cfg), cfg, init_weights(cfg.base))
+
+    def test_weights_that_disagree_with_the_config_are_rejected(self):
+        cfg = StreamConfig(base=desc_base())
+        t = generate_synthetic(2, DESK, 0)
+        w = init_weights(cfg.base)
+        with pytest.raises(ValueError, match="weights have 1 layers, config has 2"):
+            step(t, MemoryCache.empty(cfg), cfg, w[:1])
+        eight = StreamConfig(base=replace(cfg.base, heads=8))
+        with pytest.raises(ValueError, match="layer 0 weights have 4 heads, config has 8"):
+            step(t, MemoryCache.empty(eight), eight, w)
 
     def test_queries_never_include_cached_tokens(self):
         # output frame count always equals the chunk frame count
