@@ -46,6 +46,8 @@ class AggregatorConfig:
         if self.layout.channels % self.heads != 0:
             raise ValueError(f"channels {self.layout.channels} not divisible "
                              f"by heads {self.heads}")
+        if np.dtype(self.dtype) not in (np.float32, np.float64):
+            raise ValueError(f"dtype must be float32 or float64, got {np.dtype(self.dtype)}")
         if self.method.ratio > min(self.layout.h, self.layout.w):
             raise ValueError(f"compression ratio {self.method.ratio} exceeds "
                              f"grid side min({self.layout.h}, {self.layout.w})")
@@ -81,16 +83,16 @@ def init_weights(cfg: AggregatorConfig) -> list[LayerWeights]:
     return out
 
 
-def check_dtype(t: TokenTensor, cfg: AggregatorConfig) -> None:
-    """Tokens must be in the configured dtype: the weights are, and outputs
-    and cached descriptors take the tokens' dtype."""
+def check_inputs(t: TokenTensor, cfg: AggregatorConfig,
+                 weights: list[LayerWeights]) -> None:
+    """A forward's one input contract: tokens in the configured layout and
+    dtype (outputs and cached descriptors take the tokens'), weights of the
+    configured depth and, in every block, head count."""
+    if t.layout != cfg.layout:
+        raise ValueError(f"token layout {t.layout} does not match config {cfg.layout}")
     if t.dtype != np.dtype(cfg.dtype):
         raise ValueError(f"token dtype {t.dtype} does not match config dtype "
                          f"{np.dtype(cfg.dtype)}")
-
-
-def check_weights(weights: list[LayerWeights], cfg: AggregatorConfig) -> None:
-    """Weights must have the configured depth, and every block its head count."""
     if len(weights) != cfg.layers:
         raise ValueError(f"weights have {len(weights)} layers, config has {cfg.layers}")
     for layer, lw in enumerate(weights):
@@ -106,14 +108,12 @@ def forward_offline(t: TokenTensor, cfg: AggregatorConfig,
     """Single-pass forward over the whole sequence.
 
     Deterministic per (t, cfg); pass ``layer_outputs`` to capture the tokens
-    after every layer (used for per-layer error reporting).
+    after every layer (used for per-layer error reporting).  ``check_inputs``
+    holds the tokens and weights (default ``init_weights(cfg)``) to ``cfg``.
     """
-    if t.layout != cfg.layout:
-        raise ValueError(f"token layout {t.layout} does not match config {cfg.layout}")
-    check_dtype(t, cfg)
     if weights is None:
         weights = init_weights(cfg)
-    check_weights(weights, cfg)
+    check_inputs(t, cfg, weights)
     keyframes = None
     if cfg.global_mode == "descriptor" and cfg.include_aux:
         keyframes = select_keyframes(t, cfg.selector)

@@ -40,7 +40,7 @@ Each worker writes only its own tiles' output rows, so the output does not
 depend on scheduling, and each row's softmax still sees all of its keys, so
 tiling is exact.  Weights are cast to float64 once per block call, not once
 per tile.  Every block, the diagnostics' included, checks that its
-queries, keys and weights share C.
+queries, keys and weights share C, and that it has a query and a key.
 
 Every query sees every key it is given; a stream is causal because
 ``streaming.step`` passes a chunk only the keys of frames it has seen.  No
@@ -206,7 +206,7 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
 
     A tile runs LN1 (in self-attention, ``kv is x_q``, the keys' rows) and
     Q; per head, or all heads at once, the scores, numerators, P·V and
-    divide into a float64 context, rounded into the tile's output rows; then
+    divide, in float64 and rounded straight into the tile's output rows; then
     the tail (W_o, the residual, LN2 and the MLP) over the same rows.  The
     form is chosen by ``_whole_groups`` from the shapes alone, and per (batch
     item, head) both forms make the same products on the same shapes and
@@ -238,6 +238,9 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     if not x_q.shape[-1] == kv.shape[-1] == w.channels:
         raise ValueError(f"channels differ: queries {x_q.shape[-1]}, "
                          f"keys {kv.shape[-1]}, weights {w.channels}")
+    if not (x_q.shape[1] and kv.shape[1]):
+        raise ValueError(f"attention needs a query and a key, got {x_q.shape[1]} "
+                         f"queries and {kv.shape[1]} keys")
     whole = _whole_groups(x_q.shape[1], kv.shape[1])
     wo, w1, w2 = (m.astype(np.float64) for m in (w.wo, w.w1, w.w2))
     out = np.empty_like(x_q)
@@ -255,7 +258,6 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
     def attend(tile, group_keys, work):
         batch, queries = tile
         x = x_q[tile]
-        ctx = np.empty(x.shape, dtype=np.float64)
         # a whole group projects its own keys, on the thread that runs it
         kv_in, k, v = group_keys or keys(batch)
         q_in = (layer_norm(_rows(x), w.ln1_gamma, w.ln1_beta) if kv_in is None
@@ -264,7 +266,7 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
         q = _project(q_in, wq, x.shape)
         del q_in
         q *= inv_sqrt_d
-        q, k, v, by_head = (_by_head(a, w.heads) for a in (q, k, v, ctx))
+        q, k, v, by_head = (_by_head(a, w.heads) for a in (q, k, v, out[tile]))
         if work is not None:
             work = work[:x.shape[0], :x.shape[1]]
         for h in (slice(None),) if work is None else range(w.heads):
@@ -273,7 +275,6 @@ def _attention_block(x_q: np.ndarray, kv: np.ndarray, w: BlockWeights,
                 record(tile, h, scores)
             e, denom = softmax_numerators(scores, out=scores)
             np.divide(e @ v[:, h], denom, out=by_head[:, h])
-        out[tile] = ctx
 
     def tail(tile):
         y = _rows(x_q[tile]) + matmul(_rows(out[tile]), wo)
@@ -342,8 +343,6 @@ def dense_global_attention(t: TokenTensor, w: BlockWeights) -> TokenTensor:
 def descriptor_attention(t: TokenTensor, bundle: DescriptorBundle, w: BlockWeights
                          ) -> TokenTensor:
     """Cross-attention: every full-resolution token queries the descriptor set."""
-    if not bundle.count:
-        raise ValueError("descriptor_attention got an empty bundle: no keys to attend to")
     out = _attention_block(t.flat()[None], bundle.descriptors[None], w)
     return t.with_values(out.reshape(t.values.shape))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregator import AggregatorConfig, LayerWeights, check_dtype, check_weights, init_weights
+from .aggregator import AggregatorConfig, LayerWeights, check_inputs, init_weights
 from .attention import descriptor_attention, frame_attention
 from .compression import (DescriptorBundle, DescriptorKind, build_bundle,
                           select_keyframes)
@@ -66,24 +66,24 @@ def _retained_subset(bundle: DescriptorBundle, retain_rate: int) -> DescriptorBu
     keep = ((bundle.kinds == int(DescriptorKind.COMPRESSED))
             & (bundle.frames % retain_rate == 0)) \
         | (bundle.kinds == int(DescriptorKind.FIRST_FRAME_PATCH))
-    subset = bundle.select(keep)
-    order = np.argsort(subset.frames, kind="stable")
-    return subset.select(order)
+    kept = np.flatnonzero(keep)
+    return bundle.select(kept[np.argsort(bundle.frames[kept], kind="stable")])
 
 
 def step(chunk: TokenTensor, cache: MemoryCache, cfg: StreamConfig,
          weights: list[LayerWeights]) -> tuple[TokenTensor, MemoryCache]:
     """Process one chunk against the cache; returns (chunk output, new cache).
 
-    The cache is not mutated; the returned cache shares the retained arrays.
+    ``check_inputs`` holds the chunk and weights to ``cfg.base``, and then the
+    cache's layout and depth are held to it.  The cache is not mutated; the
+    returned cache shares the retained arrays.
     """
     base = cfg.base
     if chunk.frames > cfg.chunk_size:
         raise ValueError(f"chunk has {chunk.frames} frames, limit is {cfg.chunk_size}")
-    if chunk.layout != cache.layout or len(cache.layers) != base.layers:
+    check_inputs(chunk, base, weights)
+    if cache.layout != base.layout or len(cache.layers) != base.layers:
         raise ValueError("cache layout/depth inconsistent with the stream config")
-    check_dtype(chunk, base)
-    check_weights(weights, base)
 
     offset = cache.frames_seen
     keyframes = None
@@ -109,10 +109,9 @@ def run_stream(t: TokenTensor, cfg: StreamConfig) -> tuple[TokenTensor, MemoryCa
     ``init_weights(cfg.base)``; returns (outputs in frame order, final cache).
 
     A single chunk covering the full sequence reproduces the offline
-    descriptor forward bit for bit.
+    descriptor forward bit for bit.  Each ``step`` checks its chunk, so a
+    sequence that breaks the input contract fails at the first chunk.
     """
-    if t.layout != cfg.base.layout:
-        raise ValueError(f"token layout {t.layout} does not match config {cfg.base.layout}")
     weights = init_weights(cfg.base)
     cache = MemoryCache.empty(cfg)
     outputs = []

@@ -154,6 +154,12 @@ class TestStackStructure:
         with pytest.raises(ValueError, match="float64.*float32"):
             forward_offline(t, cfg)
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex64])
+    def test_dtype_other_than_float32_or_float64_rejected(self, dtype):
+        with pytest.raises(ValueError, match=f"dtype must be float32 or float64, "
+                                             f"got {np.dtype(dtype)}"):
+            AggregatorConfig(layout=DESK, dtype=dtype)
+
     @pytest.mark.parametrize("mode", ["dense", "descriptor"])
     def test_weights_that_disagree_with_the_config_are_rejected(self, mode):
         cfg = desc_cfg(layout=DESK, heads=4).with_mode(mode)

@@ -146,8 +146,18 @@ class TestDescriptorOracle:
 
     def test_empty_bundle_rejected(self):
         t = generate_synthetic(2, DESK, 1)
-        with pytest.raises(ValueError, match="empty bundle"):
+        with pytest.raises(ValueError, match="138 queries and 0 keys"):
             descriptor_attention(t, DescriptorBundle.empty(32), init_block_weights(1, 32, 4))
+
+    @pytest.mark.parametrize("queries, keys", [(0, 10), (0, 300), (10, 0), (300, 0)])
+    def test_no_queries_or_no_keys_rejected(self, queries, keys):
+        flat = generate_synthetic(5, DESK, 1).flat()
+        w = init_block_weights(1, 32, 4)
+        message = f"{queries} queries and {keys} keys"
+        with pytest.raises(ValueError, match=message):
+            attention_probabilities(flat[:queries], flat[:keys], w)
+        with pytest.raises(ValueError, match=message):
+            attention._attention_block(flat[None, :queries], flat[None, :keys], w)
 
 
 class TestOneScorePath:

@@ -49,6 +49,16 @@ class TestStep:
         with pytest.raises(ValueError, match="cache"):
             step(t, MemoryCache.empty(cfg_a), cfg_b, init_weights(cfg_b.base))
 
+    def test_chunk_and_cache_in_another_layout_rejected(self):
+        # both agree with each other, and neither with the config
+        small = FrameLayout(h=4, w=4, n_camera=1, n_register=4, channels=32)
+        cfg = StreamConfig(base=desc_base(ratio=4), chunk_size=4, retain_rate=2)
+        other = StreamConfig(base=desc_base(layout=small, ratio=4), chunk_size=4,
+                             retain_rate=2)
+        t = generate_synthetic(3, small, 0)
+        with pytest.raises(ValueError, match="token layout .* does not match config"):
+            step(t, MemoryCache.empty(other), cfg, init_weights(cfg.base))
+
     def test_token_dtype_mismatch_rejected(self):
         cfg = StreamConfig(base=desc_base())  # float32
         t = generate_synthetic(2, DESK, 0, dtype=np.float64)
